@@ -65,6 +65,8 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
+        if self.model != "poisson" and not all(float(g).is_integer() for g in grid):
+            raise DomainError(f"{self.model} grid values are point counts and must be whole")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
         if not 0 <= self.master_seed < 2**64:

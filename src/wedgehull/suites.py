@@ -53,6 +53,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self) -> None:
+        # checks compare numpy scalars; a numpy bool is not JSON serializable
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

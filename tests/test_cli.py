@@ -232,6 +232,13 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["dims"] == [2]
 
+    def test_geometry_suite_report_is_json(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "geometry", "--dim", "2"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert all(c["passed"] is True for c in report["checks"])
+
     def test_failure_exits_one(self, capsys, monkeypatch):
         def fake_run_suites(names, dims):
             return [CheckResult("geometry", "synthetic", False, "forced failure")]

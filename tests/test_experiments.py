@@ -85,6 +85,23 @@ class TestConfig:
         with pytest.raises(DomainError):
             binomial_cfg(grid=(8, 8))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(model="binomial"),
+            dict(model="halfsphere"),
+            dict(model="polygon_baseline", ell=4),
+            dict(model="conjecture_probe", j=2),
+        ],
+    )
+    def test_fixed_size_grids_must_be_whole(self, extra):
+        with pytest.raises(DomainError):
+            binomial_cfg(grid=(100.5, 200), **extra)
+        assert binomial_cfg(grid=(100.0, 200), **extra).grid == (100.0, 200)
+
+    def test_poisson_grid_may_be_fractional(self):
+        assert binomial_cfg(model="poisson", grid=(10.5, 20.25)).grid == (10.5, 20.25)
+
     def test_scalar_guards(self):
         with pytest.raises(DomainError):
             binomial_cfg(d=1)
