@@ -152,8 +152,9 @@ class WedgeModel:
 def wedge_contains(model: WedgeModel, points: np.ndarray) -> np.ndarray | bool:
     """Membership test z . n_i >= -1e-12 for every normal; batched."""
     points = np.asarray(points, dtype=float)
-    # One matrix-vector product per normal: a threaded (n, d+1) @ (d+1, j)
-    # matrix product costs ten times as much and oversubscribes pool workers.
+    # One matrix-vector product per normal: OpenBLAS threads an
+    # (n, d+1) @ (d+1, j) product, which is far slower at this shape and
+    # oversubscribes the cores when pool workers run side by side.
     inside = np.ones(points.shape[:-1], dtype=bool)
     for normal in model.normals:
         inside &= points @ normal >= -UNIT_NORM_TOL

@@ -121,6 +121,12 @@ def nearly_dependent(rng, k, count):
 
 
 class TestParallelotopeVolume:
+    def test_square_matrices_match_determinant(self, rng):
+        for k in (2, 3, 4):
+            mats = rng.normal(size=(50, k, k))
+            vols = parallelotope_volume(mats)
+            assert np.allclose(vols, np.abs(np.linalg.det(mats)), rtol=1e-10, atol=1e-12)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
     def test_square_stacks_match_svd_route(self, rng, k, lead):
