@@ -1,9 +1,12 @@
-"""Golden records: pinned digests of the CSV of small fixed sweeps.
+"""Golden outputs: pinned digests of the CSV and JSON summary of small fixed sweeps.
 
-Each digest is the blake2b (16 bytes) of the records CSV with the wall_ms
-column removed, so any change to sampling, folding, projection, pruning or
-the hull chain that alters a single facet count, vertex count, stream id or
-retry flag changes the digest.  Performance work must leave them unchanged.
+Each records digest is the blake2b (16 bytes) of the records CSV with the
+wall_ms column removed, so any change to sampling, folding, projection,
+pruning or the hull chain that alters a single facet count, vertex count,
+stream id or retry flag changes the digest.  Each summary digest is the
+blake2b of the JSON summary file (constants at 10^4 samples), so it also pins
+the config echo, the fit and the constants block.  Performance work and
+refactors must leave them unchanged.
 """
 
 import hashlib
@@ -11,8 +14,8 @@ import math
 
 import pytest
 
-from wedgehull import ExperimentConfig, run_experiment
-from wedgehull.experiments import CSV_HEADER, write_csv
+from wedgehull import ExperimentConfig, run_experiment, summarize
+from wedgehull.experiments import CSV_HEADER, write_csv, write_summary
 
 SEED = 20260815
 _WALL = CSV_HEADER.split(",").index("wall_ms")
@@ -22,22 +25,32 @@ GOLDEN = {
     "binomial_d2": (
         dict(model="binomial", d=2, grid=(16, 600, 4096), reps=4),
         "cdf14e40c95ab0073a2c1a22a21864fb",
+        "74162806604a0b537c1d79456ed4c464",
     ),
     "binomial_d3": (
         dict(model="binomial", d=3, grid=(16, 256, 1024), reps=3),
         "6626e67ef01358c1ab52249cca5c1c63",
+        "451040ad2ce682b1f3c33a711a588bab",
     ),
     "halfsphere_d2": (
         dict(model="halfsphere", d=2, grid=(16, 600, 2048), reps=3),
         "9f218e9a7d2acbda2452e1f4745faf77",
+        "e8eb748f3404815d08b59c9cf9c76eef",
     ),
     "poisson_d2": (
         dict(model="poisson", d=2, grid=(10.0, 200.0, 1000.0), reps=3),
         "20e7bd7814a5964f1da958f3b432b3b6",
+        "1295f1119fa1754116408a52a9222d0c",
     ),
     "polygon_ell5": (
         dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3, ell=5),
         "6a5029f791f8e08e88f356c327dc4037",
+        "1d5ebff2481862a806cdf6ac51c7a01b",
+    ),
+    "polygon_default": (
+        dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3),
+        "68269ed18c29e3fee3f2309e709451ed",
+        "3f1bea9c7cf41e75e5b3c2f0dde9c7c4",
     ),
     "probe_rotated_j2": (
         dict(
@@ -49,6 +62,7 @@ GOLDEN = {
             normals=((_S, _S, 0.0), (0.0, 0.0, 1.0)),
         ),
         "1c9d0a76e75f9ad68bd332f54b724232",
+        "7d35096b22d6fe7d6860581da66da06a",
     ),
 }
 
@@ -63,8 +77,7 @@ def records_digest(path) -> str:
 
 
 def _digest(tmp_path, name, workers=1):
-    spec, _ = GOLDEN[name]
-    cfg = ExperimentConfig(master_seed=SEED, **spec)
+    cfg = ExperimentConfig(master_seed=SEED, **GOLDEN[name][0])
     path = tmp_path / f"{name}_w{workers}.csv"
     write_csv(path, run_experiment(cfg, workers=workers))
     return records_digest(path)
@@ -73,6 +86,14 @@ def _digest(tmp_path, name, workers=1):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_records_digest_is_pinned(tmp_path, name):
     assert _digest(tmp_path, name) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_summary_digest_is_pinned(tmp_path, name):
+    cfg = ExperimentConfig(master_seed=SEED, **GOLDEN[name][0])
+    path = tmp_path / f"{name}.json"
+    write_summary(path, summarize(cfg, run_experiment(cfg), constants_samples=10**4))
+    assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == GOLDEN[name][2]
 
 
 def test_binomial_digest_is_pinned_on_two_workers(tmp_path):
