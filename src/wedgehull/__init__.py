@@ -26,7 +26,6 @@ from .formulas import (
     i2_closed,
     i2_complement,
     model_constants,
-    omega,
     parallelotope_volume,
     verify_appendix_inequalities,
     wedge_measure,
@@ -40,12 +39,10 @@ from .geometry import (
     napier_jacobian,
     napier_reflect,
     normal_from_angles,
+    omega,
     opening_angle,
     orthonormal_complement,
-    sphere_surface_measure,
     wedge_contains,
-    wedge_param,
-    wedge_param_inverse,
 )
 from .experiments import (
     ExperimentConfig,
@@ -53,12 +50,7 @@ from .experiments import (
     SlopeFit,
     config_hash,
     fit_slope,
-    run_binomial,
-    run_conjecture_probe,
     run_experiment,
-    run_halfsphere,
-    run_poisson,
-    run_polygon_baseline,
     summarize,
 )
 from .hull import FacetSet, facets_ambient, facets_projected

@@ -14,8 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import WedgehullError
+from .errors import DomainError, WedgehullError
 from .experiments import (
+    MODEL_SPECS,
     ExperimentConfig,
     config_hash,
     run_experiment,
@@ -28,15 +29,6 @@ from .sampling import SeedSpec
 from .suites import SUITE_NAMES, run_suites
 
 OUTPUT_DIR_ENV = "WEDGEHULL_OUTPUT_DIR"
-_MODEL_ALIASES = {
-    "binomial": "binomial",
-    "poisson": "poisson",
-    "halfsphere": "halfsphere",
-    "polygon": "polygon_baseline",
-    "polygon_baseline": "polygon_baseline",
-    "probe": "conjecture_probe",
-    "conjecture_probe": "conjecture_probe",
-}
 _MIN_CONSTANT_SAMPLES = 1000
 
 
@@ -78,9 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a facet-count sweep and persist CSV/JSON")
     sim.add_argument("--config", type=str, help="JSON file mirroring ExperimentConfig")
-    sim.add_argument("--model", choices=sorted(_MODEL_ALIASES), help="experiment family")
+    spellings = sorted(name for spec in MODEL_SPECS.values() for name in spec.spellings)
+    sim.add_argument("--model", choices=spellings, help="experiment family")
     sim.add_argument("--dim", type=int, default=2, help="sphere dimension d")
-    sim.add_argument("--j", type=int, default=None, help="number of halfspaces (probe)")
+    sim.add_argument("--j", type=int, default=2, help="number of halfspaces (probe)")
     sim.add_argument("--grid", type=str, help="n grid, e.g. 128:131072:x2 or 128,256")
     sim.add_argument("--gamma-grid", type=str, help="intensity grid for the Poisson model")
     sim.add_argument("--reps", type=int, default=100, help="replications per grid value")
@@ -107,8 +100,8 @@ def _config_from_args(args) -> ExperimentConfig:
         return ExperimentConfig.from_dict(data)
     if not args.model:
         raise ValueError("either --config or --model is required")
-    model = _MODEL_ALIASES[args.model]
-    if model == "poisson":
+    model = next(name for name, spec in MODEL_SPECS.items() if args.model in spec.spellings)
+    if MODEL_SPECS[model].kind == "poisson":
         if not args.gamma_grid:
             raise ValueError("the poisson model needs --gamma-grid")
         grid = parse_grid(args.gamma_grid)
@@ -116,7 +109,6 @@ def _config_from_args(args) -> ExperimentConfig:
         if not args.grid:
             raise ValueError(f"the {args.model} model needs --grid")
         grid = parse_grid(args.grid)
-    j = args.j if args.j is not None else (1 if model == "halfsphere" else 2)
     window = parse_grid(args.fit_window) if args.fit_window else None
     return ExperimentConfig(
         model=model,
@@ -124,7 +116,7 @@ def _config_from_args(args) -> ExperimentConfig:
         grid=grid,
         reps=args.reps,
         master_seed=args.seed,
-        j=j,
+        j=args.j,
         fit_window=window,
         output_path=args.out,
         ell=args.ell,
@@ -133,27 +125,18 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _theory_line(cfg: ExperimentConfig, summary: dict) -> str:
     fit = summary["fit"]
-    slope = fit["slope"]
-    se = fit["slope_se"]
-    if cfg.model == "polygon_baseline":
-        target = 2.0 * (cfg.ell or 3) / 3.0
-        label = f"2*ell/3 = {target:.6f}"
-    elif cfg.model == "halfsphere":
-        target = 0.0
-        label = "0 (plateau control)"
-    else:
-        target = summary["constants"]["c_d2_theory"]
-        label = f"c_d2 = {target:.6f}"
+    spec = MODEL_SPECS[cfg.model]
+    target = spec.slope(cfg, summary)
     return (
-        f"slope {slope:.4f} +/- {se:.4f} vs theory {label} "
-        f"(gap {slope - target:+.4f}), r2 {fit['r2']:.4f}"
+        f"slope {fit['slope']:.4f} +/- {fit['slope_se']:.4f} vs theory {spec.law} = "
+        f"{target:.6f} (gap {fit['slope'] - target:+.4f}), r2 {fit['r2']:.4f}"
     )
 
 
 def cmd_simulate(args) -> int:
     try:
         cfg = _config_from_args(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.output_path or args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")

@@ -15,8 +15,9 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,47 @@ from .geometry import WedgeModel
 from .hull import _hull2d, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_poisson_wedge, sample_uniform_wedge
 
-MODELS = ("binomial", "poisson", "halfsphere", "polygon_baseline", "conjecture_probe")
 CSV_HEADER = "model,d,j,size_param,rep,facets,vertices,stream_id,wall_ms,flag"
 MAX_RETRIES = 3
 DEFAULT_MIN_FIT_SIZE = 512
 _VARIANCE_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What one sweep model is: sampler, j, CLI names, grid floor, theory slope."""
+
+    kind: str  # sampler: "uniform" or "poisson" on a wedge, or "polygon"
+    j: object  # canonical j, or the config field that gives it ("ell" or "j")
+    spellings: tuple  # accepted values of `simulate --model`
+    floored: bool  # grid values must be at least d+1, enough points to span a facet
+    law: str  # the theory slope, as printed
+    slope: Callable  # (cfg, summary) -> expected growth of the mean facet count per log n
+
+
+def _c_d2(cfg, summary):
+    return summary["constants"]["c_d2_theory"]
+
+
+def _zero(cfg, summary):
+    return 0.0
+
+
+def _two_ell_thirds(cfg, summary):
+    return 2.0 * cfg.ell / 3.0
+
+
+MODEL_SPECS = {
+    "binomial": ModelSpec("uniform", 2, ("binomial",), True, "c_d2", _c_d2),
+    "poisson": ModelSpec("poisson", 2, ("poisson",), False, "c_d2", _c_d2),
+    "halfsphere": ModelSpec("uniform", 1, ("halfsphere",), False, "plateau", _zero),
+    "polygon_baseline": ModelSpec(
+        "polygon", "ell", ("polygon", "polygon_baseline"), True, "2*ell/3", _two_ell_thirds
+    ),
+    "conjecture_probe": ModelSpec(
+        "uniform", "j", ("probe", "conjecture_probe"), False, "c_d2", _c_d2
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -50,22 +87,23 @@ class ExperimentConfig:
     ell: int = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise DomainError(f"model must be one of {MODELS}")
+        if self.model not in MODEL_SPECS:
+            raise DomainError(f"model must be one of {tuple(MODEL_SPECS)}")
         if self.d < 2:
             raise DomainError("dimension must be at least 2")
+        spec = MODEL_SPECS[self.model]
         # canonical j per model keeps config hashes stable across callers
-        if self.model == "halfsphere":
-            object.__setattr__(self, "j", 1)
-        elif self.model in ("binomial", "poisson"):
-            object.__setattr__(self, "j", 2)
-        elif self.model == "polygon_baseline" and self.ell is not None:
+        if spec.j == "ell":
+            if self.ell is None:
+                object.__setattr__(self, "ell", 3)
             object.__setattr__(self, "j", int(self.ell))
+        elif spec.j != "j":
+            object.__setattr__(self, "j", spec.j)
         grid = tuple(self.grid)
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
-        if self.model != "poisson" and not all(float(g).is_integer() for g in grid):
+        if spec.kind != "poisson" and not all(float(g).is_integer() for g in grid):
             raise DomainError(f"{self.model} grid values are point counts and must be whole")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
@@ -79,13 +117,15 @@ class ExperimentConfig:
         if self.normals is not None:
             normals = tuple(tuple(float(x) for x in row) for row in self.normals)
             object.__setattr__(self, "normals", normals)
-        if self.model == "polygon_baseline":
+        if spec.kind == "polygon":
             if self.d != 2:
                 raise DomainError("polygon baseline is planar (d=2)")
-            if self.ell is not None and self.ell < 3:
+            if self.ell < 3:
                 raise DomainError("polygon needs at least 3 sides")
-        if self.model == "conjecture_probe" and not 1 <= self.j <= self.d:
+        if spec.j == "j" and not 1 <= self.j <= self.d:
             raise DomainError("probe needs 1 <= j <= d")
+        if MODEL_SPECS[_runs_as(self)].floored and grid[0] < self.d + 1:
+            raise DomainError(f"{self.model} grid values must be at least d+1")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -112,6 +152,22 @@ def config_hash(cfg: ExperimentConfig) -> str:
     payload.pop("output_path")
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
+def _runs_as(cfg: ExperimentConfig) -> str:
+    """The row that samples `cfg`'s clouds.
+
+    A probe without normals runs on the standard wedge of its j, so its
+    records (hashes and streams included) are bit-identical to a direct run
+    of that model, which is the consistency check the probe exists to
+    preserve.
+    """
+    if MODEL_SPECS[cfg.model].j != "j" or cfg.normals is not None:
+        return cfg.model
+    for name, spec in MODEL_SPECS.items():
+        if spec.kind == "uniform" and spec.j == cfg.j:
+            return name
+    raise DomainError(f"probe with j={cfg.j} needs explicit normals")
 
 
 @dataclass(frozen=True)
@@ -148,13 +204,11 @@ def _normals_token(normals) -> str:
     return ";".join(f"{x:.17g}" for row in normals for x in row)
 
 
-def _build_model(kind: str, d: int, j: int, normals) -> WedgeModel:
-    if kind == "halfsphere" or j == 1:
-        if normals is not None:
-            return WedgeModel.from_normals(d, np.asarray(normals, float))
-        return WedgeModel.half_sphere(d)
+def _build_model(d: int, j: int, normals) -> WedgeModel:
     if normals is not None:
         return WedgeModel.from_normals(d, np.asarray(normals, float))
+    if j == 1:
+        return WedgeModel.half_sphere(d)
     return WedgeModel.right_angle(d)
 
 
@@ -176,9 +230,26 @@ def _sample_polygon(ell: int, n: int, seed: SeedSpec) -> np.ndarray:
     return (r1 * (1.0 - r2))[:, None] * a + (r1 * r2)[:, None] * b
 
 
-def _count_facets_planar(coords: np.ndarray):
-    edges, vertices, degenerate = _hull2d(coords)
-    return len(edges), len(vertices), degenerate
+def _count_facets(kind: str, d: int, j: int, normals, size, seed: SeedSpec):
+    """(facets, vertices) of one cloud; DegenerateInput asks for a fresh draw."""
+    if kind == "polygon":
+        edges, vertices, degenerate = _hull2d(_sample_polygon(j, int(size), seed))
+        if degenerate:
+            raise DegenerateInput(f"degenerate planar hull at n={size}")
+        return len(edges), len(vertices)
+    model = _build_model(d, j, normals)
+    if kind == "poisson":
+        cloud = sample_poisson_wedge(model, float(size), seed)
+    else:
+        cloud = sample_uniform_wedge(model, seed, int(size))
+    n_points = cloud.points.shape[0]
+    if n_points < d + 1:
+        # too few points to span any facet; every point is extreme
+        return 0, n_points
+    facet_set = facets_projected(cloud)
+    if facet_set.degenerate_flag:
+        raise DegenerateInput(f"flagged hull at size={size}")
+    return facet_set.facet_count, facet_set.vertex_count
 
 
 def _execute_task(payload: dict) -> RunRecord:
@@ -199,45 +270,11 @@ def _execute_task(payload: dict) -> RunRecord:
             stream_id = derive_stream(kind, d, j, token, size, rep, attempt)
         seed = SeedSpec(master_seed, stream_id)
         start = time.perf_counter()
-        if kind == "polygon":
-            coords = _sample_polygon(j, int(size), seed)
-            facet_count, vertex_count, degenerate = _count_facets_planar(coords)
-            if degenerate:
-                last_error = DegenerateInput(f"degenerate planar hull at n={size}")
-                continue
-        else:
-            model = _build_model(kind, d, j, normals)
-            if kind == "poisson":
-                cloud = sample_poisson_wedge(model, float(size), seed)
-            else:
-                cloud = sample_uniform_wedge(model, seed, int(size))
-            n_points = cloud.points.shape[0]
-            if n_points < d + 1:
-                # too few points to span any facet; every point is extreme
-                wall = (time.perf_counter() - start) * 1000.0
-                return RunRecord(
-                    config_hash=payload["config_hash"],
-                    model=record_model,
-                    d=d,
-                    j=j,
-                    size_param=size,
-                    rep_index=rep,
-                    facet_count=0,
-                    vertex_count=n_points,
-                    wall_time_ms=wall,
-                    stream_id=stream_id,
-                    flag=attempt,
-                )
-            try:
-                facet_set = facets_projected(cloud)
-            except DegenerateInput as exc:
-                last_error = exc
-                continue
-            if facet_set.degenerate_flag:
-                last_error = DegenerateInput(f"flagged hull at size={size} rep={rep}")
-                continue
-            facet_count = facet_set.facet_count
-            vertex_count = facet_set.vertex_count
+        try:
+            facet_count, vertex_count = _count_facets(kind, d, j, normals, size, seed)
+        except DegenerateInput as exc:
+            last_error = exc
+            continue
         wall = (time.perf_counter() - start) * 1000.0
         return RunRecord(
             config_hash=payload["config_hash"],
@@ -257,15 +294,21 @@ def _execute_task(payload: dict) -> RunRecord:
     ) from last_error
 
 
-def _run_tasks(cfg: ExperimentConfig, kind: str, record_model: str, j: int, workers: int):
-    digest = config_hash(cfg)
+def run_experiment(cfg: ExperimentConfig, workers: int = 1):
+    """One record per (grid value, replicate) of the sweep, in grid order.
+
+    Records are bit-identical for any worker count: each task draws from
+    its own derived stream.
+    """
+    record_model = _runs_as(cfg)
+    digest = config_hash(replace(cfg, model=record_model))
     payloads = [
         {
             "config_hash": digest,
             "record_model": record_model,
-            "kind": kind,
+            "kind": MODEL_SPECS[record_model].kind,
             "d": cfg.d,
-            "j": j,
+            "j": cfg.j,
             "size": size,
             "rep": rep,
             "master_seed": cfg.master_seed,
@@ -279,73 +322,6 @@ def _run_tasks(cfg: ExperimentConfig, kind: str, record_model: str, j: int, work
     chunk = max(1, len(payloads) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_execute_task, payloads, chunksize=chunk))
-
-
-def _require(cfg: ExperimentConfig, model: str):
-    if cfg.model != model:
-        raise DomainError(f"config declares model {cfg.model!r}, expected {model!r}")
-
-
-def run_binomial(cfg: ExperimentConfig, workers: int = 1):
-    """Fixed-size uniform clouds on the right-angle wedge, one record per rep."""
-    _require(cfg, "binomial")
-    if any(int(n) < cfg.d + 1 for n in cfg.grid):
-        raise DomainError("binomial grid values must be at least d+1")
-    return _run_tasks(cfg, "uniform", "binomial", 2, workers)
-
-
-def run_poisson(cfg: ExperimentConfig, workers: int = 1):
-    """Poisson clouds of intensity gamma; undersized clouds count 0 facets."""
-    _require(cfg, "poisson")
-    return _run_tasks(cfg, "poisson", "poisson", 2, workers)
-
-
-def run_halfsphere(cfg: ExperimentConfig, workers: int = 1):
-    """Zero-slope control: same pipeline on the half-sphere (j=1)."""
-    _require(cfg, "halfsphere")
-    return _run_tasks(cfg, "uniform", "halfsphere", 1, workers)
-
-
-def run_polygon_baseline(cfg: ExperimentConfig, ell: int = None, workers: int = 1):
-    """Planar control: uniform points in a regular polygon, expected slope 2*ell/3."""
-    _require(cfg, "polygon_baseline")
-    sides = ell if ell is not None else (cfg.ell if cfg.ell is not None else 3)
-    if sides < 3:
-        raise DomainError("polygon needs at least 3 sides")
-    if cfg.ell != sides:
-        cfg = ExperimentConfig(**{**cfg.to_dict(), "ell": sides})
-    if any(int(n) < 3 for n in cfg.grid):
-        raise DomainError("polygon grid values must be at least 3")
-    return _run_tasks(cfg, "polygon", "polygon_baseline", sides, workers)
-
-
-def run_conjecture_probe(cfg: ExperimentConfig, workers: int = 1):
-    """General-j sweep; canonical j=1 and j=2 delegate to their named runs.
-
-    Delegation rebuilds the config under the canonical model name so the
-    records (hashes and streams included) are bit-identical to a direct
-    run, which is the consistency check the probe exists to preserve.
-    """
-    _require(cfg, "conjecture_probe")
-    base = cfg.to_dict()
-    if cfg.j == 1 and cfg.normals is None:
-        return run_halfsphere(ExperimentConfig(**{**base, "model": "halfsphere"}), workers)
-    if cfg.j == 2 and cfg.normals is None:
-        return run_binomial(ExperimentConfig(**{**base, "model": "binomial"}), workers)
-    if cfg.normals is None:
-        raise DomainError("probe with j >= 3 needs explicit normals")
-    return _run_tasks(cfg, "uniform", "conjecture_probe", cfg.j, workers)
-
-
-def run_experiment(cfg: ExperimentConfig, workers: int = 1):
-    dispatch = {
-        "binomial": run_binomial,
-        "poisson": run_poisson,
-        "halfsphere": run_halfsphere,
-        "polygon_baseline": run_polygon_baseline,
-        "conjecture_probe": run_conjecture_probe,
-    }
-    return dispatch[cfg.model](cfg, workers=workers)
 
 
 def aggregate(records):
@@ -416,7 +392,7 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
 def default_fit_window(cfg: ExperimentConfig):
     """Grid values past the small-size transient (about 512 expected points)."""
     if cfg.model == "poisson":
-        sigma = _build_model("poisson", cfg.d, cfg.j, cfg.normals).surface_measure
+        sigma = _build_model(cfg.d, cfg.j, cfg.normals).surface_measure
         window = tuple(g for g in cfg.grid if g * sigma >= DEFAULT_MIN_FIT_SIZE)
     else:
         window = tuple(g for g in cfg.grid if g >= DEFAULT_MIN_FIT_SIZE)
@@ -481,15 +457,13 @@ def read_csv(path, config_hash: str = ""):
 def summarize(cfg: ExperimentConfig, records, constants_samples: int = 10**6) -> dict:
     """Aggregate records into the persistent JSON summary document.
 
-    The constants block re-estimates the parallelotope mean on a stream
-    derived from the master seed, so the whole document is reproducible.
+    Wedge models get a constants block that re-estimates the parallelotope
+    mean on a stream derived from the master seed, so the whole document is
+    reproducible.  The polygon has none: its theory slope 2*ell/3 needs no A_d.
     """
     sizes, means, std_errors, _, _ = aggregate(records)
     window = cfg.fit_window if cfg.fit_window is not None else default_fit_window(cfg)
     fit = fit_slope(records, window)
-    seed = SeedSpec(cfg.master_seed, derive_stream("constants", cfg.d))
-    report = estimate_A_d(cfg.d, constants_samples, seed)
-    constants = model_constants(cfg.d, report)
     summary = {
         "config": {**cfg.to_dict(), "hash": config_hash(cfg)},
         "grid": sizes,
@@ -502,12 +476,15 @@ def summarize(cfg: ExperimentConfig, records, constants_samples: int = 10**6) ->
             "r2": fit.r_squared,
             "window": list(fit.grid_points_used),
         },
-        "constants": {
+    }
+    if MODEL_SPECS[cfg.model].kind != "polygon":
+        seed = SeedSpec(cfg.master_seed, derive_stream("constants", cfg.d))
+        report = estimate_A_d(cfg.d, constants_samples, seed)
+        summary["constants"] = {
             "A_d": report.value,
             "A_d_se": report.std_error,
-            "c_d2_theory": constants.c_d2,
-        },
-    }
+            "c_d2_theory": model_constants(cfg.d, report).c_d2,
+        }
     if cfg.model == "conjecture_probe" and cfg.j >= 2:
         alt = fit_slope(records, window, log_power=float(cfg.j - 1))
         summary["fit_log_power"] = {

@@ -1,10 +1,10 @@
 """Closed-form quantities of the facet-count analysis.
 
-Covers the sphere surface measures omega_k, the cap measure I2 of a wedge
-sliced by a hyperplane together with its lower bound and small-angle
-asymptotics, Girard's triangle area, the Monte Carlo parallelotope constant
-A_d with the derived slope constant c_{d,2}, and the analytic inequalities
-that drive the small-angle estimates, verified on interior grids.
+Covers the wedge measure, the cap measure I2 of a wedge sliced by a
+hyperplane together with its lower bound and small-angle asymptotics,
+Girard's triangle area, the Monte Carlo parallelotope constant A_d with
+the derived slope constant c_{d,2}, and the analytic inequalities that
+drive the small-angle estimates, verified on interior grids.
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InequalityViolation, InternalError
-from .sampling import SeedSpec, _beta_prime, sphere_surface_measure
+from .geometry import omega
+from .sampling import SeedSpec, _beta_prime
 
 _A_D_CHUNK = 1 << 20
-
-
-def omega(k: int) -> float:
-    """Surface measure of S^(k-1): 2 pi^(k/2) / Gamma(k/2)."""
-    if k < 1:
-        raise DomainError("omega(k) requires k >= 1")
-    return sphere_surface_measure(k)
 
 
 def wedge_measure(d: int, j: int = 2) -> float:

@@ -33,10 +33,10 @@ CHART_TOL = 1e-12
 MAX_POINTS = 10 ** 8
 
 
-def sphere_surface_measure(k: int) -> float:
-    """Surface measure of S^(k-1), i.e. 2 pi^(k/2) / Gamma(k/2)."""
+def omega(k: int) -> float:
+    """Surface measure omega_k of S^(k-1), i.e. 2 pi^(k/2) / Gamma(k/2)."""
     if k < 1:
-        raise DomainError("sphere_surface_measure(k) requires k >= 1")
+        raise DomainError("omega(k) requires k >= 1")
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
@@ -145,7 +145,7 @@ class WedgeModel:
     def surface_measure(self) -> float | None:
         """Exact wedge measure when the normals are mutually orthogonal, else None."""
         if self.is_orthogonal:
-            return sphere_surface_measure(self.d + 1) / 2.0 ** self.j
+            return omega(self.d + 1) / 2.0 ** self.j
         return None
 
 
@@ -228,18 +228,6 @@ def angles_from_normal(z: np.ndarray, canonicalize: bool = True) -> WedgeCoords:
             raise ChartSingular("sin(phi) ~ 0: u is unconstrained")
         return WedgeCoords(phi, psi, e1, chart_degenerate=True)
     return WedgeCoords(phi, psi, z[: d - 1] / head)
-
-
-def wedge_param(coords: WedgeCoords, d: int) -> np.ndarray:
-    """Angular chart as a map of WedgeCoords; see normal_from_angles."""
-    if coords.d != d:
-        raise DomainError(f"coordinates describe d={coords.d}, caller asked for d={d}")
-    return normal_from_angles(coords.phi, coords.psi, coords.u)
-
-
-def wedge_param_inverse(z: np.ndarray, canonicalize: bool = True) -> WedgeCoords:
-    """Chart inversion on the branch z_(d+1) <= 0; see angles_from_normal."""
-    return angles_from_normal(z, canonicalize=canonicalize)
 
 
 def opening_angle(phi, psi):

@@ -18,10 +18,11 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError, SamplerStalled
-from .formulas import EstimatorReport, omega, parallelotope_volume
+from .formulas import EstimatorReport, parallelotope_volume
 from .geometry import (
     WedgeModel,
     normal_from_angles,
+    omega,
     opening_angle,
     orthonormal_complement,
     wedge_contains,

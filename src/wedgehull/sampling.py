@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, ResourceLimit, SamplerStalled
-from .geometry import MAX_POINTS, UNIT_NORM_TOL, WedgeModel, sphere_surface_measure, wedge_contains
+from .geometry import MAX_POINTS, UNIT_NORM_TOL, WedgeModel, omega, wedge_contains
 
 _U64 = 1 << 64
 _BATCH = 1 << 17
@@ -179,7 +179,7 @@ def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> Sam
         n = int(rng.poisson(mean))
         points = _wedge_points(model, rng, n)
     else:
-        mean = gamma * sphere_surface_measure(model.d + 1)
+        mean = gamma * omega(model.d + 1)
         if mean > MAX_POINTS:
             raise ResourceLimit(f"expected proposal size {mean:.3e} exceeds {MAX_POINTS:.0e}")
         n = int(rng.poisson(mean))

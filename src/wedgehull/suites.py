@@ -24,7 +24,6 @@ from .formulas import (
     i2_closed,
     i2_complement,
     model_constants,
-    omega,
     verify_appendix_inequalities,
     wedge_measure,
 )
@@ -36,6 +35,7 @@ from .geometry import (
     napier_jacobian,
     napier_reflect,
     normal_from_angles,
+    omega,
     opening_angle,
     wedge_contains,
 )

@@ -4,6 +4,8 @@ import math
 import pytest
 
 import wedgehull.cli as cli
+import wedgehull.experiments as experiments
+from wedgehull import DegenerateInput
 from wedgehull.cli import main, parse_grid
 from wedgehull.experiments import CSV_HEADER
 from wedgehull.suites import CheckResult
@@ -193,20 +195,40 @@ class TestSimulateCommand:
         assert summary["config"]["model"] == "polygon_baseline"
         assert summary["config"]["j"] == 4
 
-    def test_runtime_error_exits_one(self, capsys, tmp_path):
-        # grid value below d+1 passes argument parsing but fails the runner
-        argv = [
-            "simulate",
-            "--model",
+    def test_polygon_without_ell_describes_its_run(self, capsys, tmp_path):
+        argv = ["simulate", "--model", "polygon", "--grid", "16,32,64", "--reps", "3"]
+        code, out, err = run_cli(capsys, argv + ["--seed", SEED, "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["config"]["ell"], summary["config"]["j"]) == (3, 3)
+        assert "constants" not in summary
+        assert "2*ell/3 = 2.000000" in err
+        (csv_path,) = tmp_path.glob("*.csv")
+        assert csv_path.name == f"polygon_baseline_d2_{summary['config']['hash']}.csv"
+        assert all(row[2] == "3" for row in strip_wall_column(csv_path.read_text())[1:])
+
+    def test_model_spellings(self):
+        parser = cli._build_parser()
+        spellings = (
             "binomial",
-            "--grid",
-            "2,8",
-            "--reps",
-            "2",
-            "--out",
-            str(tmp_path),
-        ]
-        code, _, err = run_cli(capsys, argv)
+            "poisson",
+            "halfsphere",
+            "polygon",
+            "polygon_baseline",
+            "probe",
+            "conjecture_probe",
+        )
+        for spelling in spellings:
+            assert parser.parse_args(["simulate", "--model", spelling]).model == spelling
+        with pytest.raises(SystemExit):
+            parser.parse_args(["simulate", "--model", "wedge"])
+
+    def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        def always_degenerate(cloud):
+            raise DegenerateInput("synthetic")
+
+        monkeypatch.setattr(experiments, "facets_projected", always_degenerate)
+        code, _, err = self.simulate(capsys, tmp_path)
         assert code == 1
         assert "error" in err
 
@@ -214,6 +236,21 @@ class TestSimulateCommand:
         argv = ["simulate", "--model", "binomial", "--grid", "8:4:x2", "--out", str(tmp_path)]
         code, _, _ = run_cli(capsys, argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--grid", "8,16", "--reps", "0"],
+            ["--grid", "100.5,200,400"],
+            ["--grid", "2,8"],  # below the d+1 floor
+        ],
+    )
+    def test_rejected_config_exits_two(self, capsys, tmp_path, extra):
+        argv = ["simulate", "--model", "binomial", "--out", str(tmp_path), *extra]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "usage error" in err
+        assert not list(tmp_path.glob("*"))
 
 
 class TestVerifyCommand:

@@ -25,11 +25,6 @@ from wedgehull.experiments import (
     aggregate,
     default_fit_window,
     read_csv,
-    run_binomial,
-    run_conjecture_probe,
-    run_halfsphere,
-    run_poisson,
-    run_polygon_baseline,
     write_csv,
     write_summary,
 )
@@ -126,6 +121,10 @@ class TestConfig:
             model="polygon_baseline", d=2, grid=(8, 16), reps=2, master_seed=SEED, ell=5
         )
         assert poly.j == 5
+        triangle = ExperimentConfig(
+            model="polygon_baseline", d=2, grid=(8, 16), reps=2, master_seed=SEED, j=7
+        )
+        assert (triangle.ell, triangle.j) == (3, 3)  # a triangle unless ell says otherwise
 
     def test_polygon_guards(self):
         with pytest.raises(DomainError):
@@ -169,22 +168,27 @@ class TestConfigHash:
 class TestRunners:
     def test_triangle_cloud(self):
         cfg = ExperimentConfig(model="binomial", d=2, grid=(3,), reps=6, master_seed=SEED)
-        records = run_binomial(cfg)
+        records = run_experiment(cfg)
         assert len(records) == 6
         for r in records:
             assert r.facet_count == 3 and r.vertex_count == 3
             assert r.model == "binomial" and r.flag == 0
 
     def test_binomial_grid_floor(self):
-        cfg = ExperimentConfig(model="binomial", d=2, grid=(2, 8), reps=1, master_seed=SEED)
         with pytest.raises(DomainError):
-            run_binomial(cfg)
+            ExperimentConfig(model="binomial", d=2, grid=(2, 8), reps=1, master_seed=SEED)
+        with pytest.raises(DomainError):
+            ExperimentConfig(model="polygon_baseline", d=2, grid=(2, 8), reps=1, master_seed=SEED)
+        with pytest.raises(DomainError):  # a probe without normals runs as the binomial
+            ExperimentConfig(
+                model="conjecture_probe", d=2, grid=(2, 8), reps=1, master_seed=SEED, j=2
+            )
 
     def test_tiny_poisson_clouds_record_zero_facets(self):
         cfg = ExperimentConfig(
             model="poisson", d=2, grid=(1e-06, 2e-06), reps=5, master_seed=SEED
         )
-        records = run_poisson(cfg)
+        records = run_experiment(cfg)
         assert len(records) == 10
         for r in records:
             assert r.facet_count == 0
@@ -192,23 +196,15 @@ class TestRunners:
 
     def test_deterministic_across_calls_and_workers(self):
         cfg = binomial_cfg()
-        one = run_binomial(cfg)
-        two = run_binomial(cfg)
+        one = run_experiment(cfg)
+        two = run_experiment(cfg)
         assert strip_wall(one) == strip_wall(two)
-        parallel = run_binomial(cfg, workers=3)
+        parallel = run_experiment(cfg, workers=3)
         assert strip_wall(one) == strip_wall(parallel)
-
-    def test_dispatch_matches_named_runner(self):
-        cfg = binomial_cfg()
-        assert strip_wall(run_experiment(cfg)) == strip_wall(run_binomial(cfg))
-
-    def test_runner_rejects_wrong_model(self):
-        with pytest.raises(DomainError):
-            run_poisson(binomial_cfg())
 
     def test_records_recomputable_from_stream_id(self):
         cfg = binomial_cfg(grid=(24, 48))
-        record = run_binomial(cfg)[5]
+        record = run_experiment(cfg)[5]
         assert record.flag == 0
         model = WedgeModel.right_angle(cfg.d)
         cloud = sample_uniform_wedge(
@@ -228,7 +224,8 @@ class TestProbeDelegation:
         direct = ExperimentConfig(
             model="binomial", d=2, grid=grid, reps=reps, master_seed=SEED
         )
-        assert strip_wall(run_conjecture_probe(probe)) == strip_wall(run_binomial(direct))
+        assert probe.model == "conjecture_probe"
+        assert strip_wall(run_experiment(probe)) == strip_wall(run_experiment(direct))
 
     def test_j1_matches_halfsphere(self):
         grid, reps = (8, 16), 3
@@ -238,14 +235,14 @@ class TestProbeDelegation:
         direct = ExperimentConfig(
             model="halfsphere", d=2, grid=grid, reps=reps, master_seed=SEED
         )
-        assert strip_wall(run_conjecture_probe(probe)) == strip_wall(run_halfsphere(direct))
+        assert probe.model == "conjecture_probe"
+        assert strip_wall(run_experiment(probe)) == strip_wall(run_experiment(direct))
 
     def test_j3_needs_normals(self):
-        cfg = ExperimentConfig(
-            model="conjecture_probe", d=3, grid=(8, 16), reps=2, master_seed=SEED, j=3
-        )
         with pytest.raises(DomainError):
-            run_conjecture_probe(cfg)
+            ExperimentConfig(
+                model="conjecture_probe", d=3, grid=(8, 16), reps=2, master_seed=SEED, j=3
+            )
 
     def test_j3_with_explicit_normals(self):
         normals = (
@@ -262,7 +259,7 @@ class TestProbeDelegation:
             j=3,
             normals=normals,
         )
-        records = run_conjecture_probe(cfg)
+        records = run_experiment(cfg)
         assert all(r.model == "conjecture_probe" and r.j == 3 for r in records)
         summary = summarize(cfg, records, constants_samples=10**4)
         assert summary["fit_log_power"]["power"] == 2
@@ -282,11 +279,11 @@ class TestRetries:
 
         monkeypatch.setattr(experiments, "facets_projected", flaky)
         cfg = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
-        record = run_binomial(cfg)[0]
+        record = run_experiment(cfg)[0]
         assert record.flag == 1
         clean = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
         monkeypatch.setattr(experiments, "facets_projected", real)
-        baseline = run_binomial(clean)[0]
+        baseline = run_experiment(clean)[0]
         assert record.stream_id != baseline.stream_id  # retry salts the stream
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
@@ -296,7 +293,7 @@ class TestRetries:
         monkeypatch.setattr(experiments, "facets_projected", always_bad)
         cfg = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
         with pytest.raises(DegenerateInput):
-            run_binomial(cfg)
+            run_experiment(cfg)
 
 
 class TestPolygonBaseline:
@@ -304,9 +301,10 @@ class TestPolygonBaseline:
         cfg = ExperimentConfig(
             model="polygon_baseline", d=2, grid=(32, 64), reps=3, master_seed=SEED
         )
-        records = run_polygon_baseline(cfg)
+        records = run_experiment(cfg)
         assert all(r.j == 3 for r in records)  # default is a triangle
-        records5 = run_polygon_baseline(cfg, ell=5)
+        assert all(r.config_hash == config_hash(cfg) for r in records)
+        records5 = run_experiment(ExperimentConfig(**{**cfg.to_dict(), "ell": 5}))
         assert all(r.j == 5 for r in records5)
 
     def test_means_grow_with_size(self):
@@ -318,8 +316,16 @@ class TestPolygonBaseline:
             master_seed=SEED,
             ell=4,
         )
-        _, means, _, _, _ = aggregate(run_polygon_baseline(cfg))
+        _, means, _, _, _ = aggregate(run_experiment(cfg))
         assert means[0] < means[1] < means[2]
+
+    def test_summary_echoes_sides_and_has_no_wedge_constants(self):
+        cfg = ExperimentConfig(
+            model="polygon_baseline", d=2, grid=(16, 32, 64), reps=3, master_seed=SEED
+        )
+        summary = summarize(cfg, run_experiment(cfg))
+        assert (summary["config"]["ell"], summary["config"]["j"]) == (3, 3)
+        assert "constants" not in summary
 
 
 class TestAggregateAndFit:
@@ -369,7 +375,7 @@ class TestAggregateAndFit:
             reps=40,
             master_seed=SEED,
         )
-        records = run_binomial(cfg, workers=2)
+        records = run_experiment(cfg, workers=2)
         fit = fit_slope(records)
         rng = np.random.default_rng(7)
         by_size = {}
@@ -408,7 +414,7 @@ class TestAggregateAndFit:
             reps=60,
             master_seed=SEED,
         )
-        records = run_binomial(cfg, workers=2)
+        records = run_experiment(cfg, workers=2)
         fit = fit_slope(records, window=(512, 1024, 2048))
         sizes, means, ses, _, _ = aggregate(records)
         predicted = fit.intercept + fit.slope * math.log(4096)
@@ -439,7 +445,7 @@ class TestDefaultWindow:
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path):
         cfg = binomial_cfg()
-        records = run_binomial(cfg)
+        records = run_experiment(cfg)
         path = tmp_path / "records.csv"
         write_csv(path, records)
         text = path.read_text()
@@ -452,7 +458,7 @@ class TestPersistence:
         cfg = ExperimentConfig(
             model="poisson", d=2, grid=(2.5, 5.0), reps=2, master_seed=SEED
         )
-        records = run_poisson(cfg)
+        records = run_experiment(cfg)
         path = tmp_path / "poisson.csv"
         write_csv(path, records)
         redo = read_csv(path)
@@ -466,7 +472,7 @@ class TestPersistence:
 
     def test_summary_schema_and_stability(self, tmp_path):
         cfg = binomial_cfg(grid=(8, 16, 32), reps=6)
-        records = run_binomial(cfg)
+        records = run_experiment(cfg)
         summary = summarize(cfg, records, constants_samples=10**4)
         assert set(summary) == {"config", "grid", "means", "std_errors", "fit", "constants"}
         assert set(summary["fit"]) == {"slope", "slope_se", "intercept", "r2", "window"}

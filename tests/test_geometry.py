@@ -17,24 +17,13 @@ from wedgehull import (
     napier_reflect,
     normal_from_angles,
     opening_angle,
+    omega,
     orthonormal_complement,
     sample_uniform_sphere,
-    sphere_surface_measure,
     wedge_contains,
-    wedge_param,
-    wedge_param_inverse,
 )
 
 from .conftest import make_seed
-
-
-def test_sphere_surface_measure_known_values():
-    assert sphere_surface_measure(1) == pytest.approx(2.0, abs=1e-14)
-    assert sphere_surface_measure(2) == pytest.approx(2 * math.pi, abs=1e-14)
-    assert sphere_surface_measure(3) == pytest.approx(4 * math.pi, abs=1e-13)
-    assert sphere_surface_measure(4) == pytest.approx(2 * math.pi**2, abs=1e-13)
-    with pytest.raises(DomainError):
-        sphere_surface_measure(0)
 
 
 class TestWedgeModel:
@@ -48,7 +37,7 @@ class TestWedgeModel:
     def test_half_sphere_measure(self):
         m = WedgeModel.half_sphere(3)
         assert m.j == 1
-        assert m.surface_measure == pytest.approx(sphere_surface_measure(4) / 2, abs=1e-12)
+        assert m.surface_measure == pytest.approx(omega(4) / 2, abs=1e-12)
 
     def test_from_normals_rejects_non_unit(self):
         with pytest.raises(DomainError):
@@ -113,12 +102,12 @@ class TestGnomonic:
 
 class TestChart:
     def test_psi_zero_is_south_pole(self):
-        z = wedge_param(WedgeCoords(1.1, 0.0, np.array([1.0])), 2)
+        z = normal_from_angles(1.1, 0.0, np.array([1.0]))
         assert np.allclose(z, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_right_angles_give_u(self):
         u = np.array([1.0, 0.0])
-        z = wedge_param(WedgeCoords(math.pi / 2, math.pi / 2, u), 3)
+        z = normal_from_angles(math.pi / 2, math.pi / 2, u)
         assert np.allclose(z, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_unit_norm_on_random_inputs(self, rng):
@@ -142,28 +131,24 @@ class TestChart:
             assert np.abs(rebuilt - z).max() < 1e-10
 
     def test_pole_is_canonicalized(self):
-        coords = wedge_param_inverse(np.array([0.0, 0.0, -1.0]))
+        coords = angles_from_normal(np.array([0.0, 0.0, -1.0]))
         assert coords.chart_degenerate
         assert coords.phi == 0.0 and coords.psi == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(coords.u, [1.0])
 
     def test_pole_raises_without_canonicalization(self):
         with pytest.raises(ChartSingular):
-            wedge_param_inverse(np.array([0.0, 0.0, -1.0]), canonicalize=False)
+            angles_from_normal(np.array([0.0, 0.0, -1.0]), canonicalize=False)
 
     def test_equatorial_direction_maps_to_right_angles(self):
-        coords = wedge_param_inverse(np.array([1.0, 0.0, 0.0, 0.0]))
+        coords = angles_from_normal(np.array([1.0, 0.0, 0.0, 0.0]))
         assert coords.phi == pytest.approx(math.pi / 2, abs=1e-12)
         assert coords.psi == pytest.approx(math.pi / 2, abs=1e-12)
         assert np.allclose(coords.u, [1.0, 0.0])
 
     def test_wrong_branch_rejected(self):
         with pytest.raises(DomainError):
-            wedge_param_inverse(np.array([0.0, 0.0, 1.0]))
-
-    def test_wedge_param_checks_dimension(self):
-        with pytest.raises(DomainError):
-            wedge_param(WedgeCoords(0.3, 0.4, np.array([1.0])), 3)
+            angles_from_normal(np.array([0.0, 0.0, 1.0]))
 
     def test_coords_validate_ranges(self):
         with pytest.raises(DomainError):

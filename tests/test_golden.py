@@ -45,12 +45,12 @@ GOLDEN = {
     "polygon_ell5": (
         dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3, ell=5),
         "6a5029f791f8e08e88f356c327dc4037",
-        "1d5ebff2481862a806cdf6ac51c7a01b",
+        "72267de06504377de0ddd43614e84c71",
     ),
     "polygon_default": (
         dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3),
         "68269ed18c29e3fee3f2309e709451ed",
-        "3f1bea9c7cf41e75e5b3c2f0dde9c7c4",
+        "2b5de2b0af72d5a14a492d0a93813b1c",
     ),
     "probe_rotated_j2": (
         dict(
