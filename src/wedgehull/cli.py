@@ -125,11 +125,13 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _theory_line(cfg: ExperimentConfig, summary: dict) -> str:
     fit = summary["fit"]
+    slope = fit["slope"]
+    se = fit["slope_se"]
     spec = MODEL_SPECS[cfg.model]
     target = spec.slope(cfg, summary)
     return (
-        f"slope {fit['slope']:.4f} +/- {fit['slope_se']:.4f} vs theory {spec.law} = "
-        f"{target:.6f} (gap {fit['slope'] - target:+.4f}), r2 {fit['r2']:.4f}"
+        f"slope {slope:.4f} +/- {se:.4f} vs theory {spec.law} = {target:.6f} "
+        f"(gap {slope - target:+.4f}), r2 {fit['r2']:.4f}"
     )
 
 
