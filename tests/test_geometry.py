@@ -26,6 +26,15 @@ from wedgehull import (
 from .conftest import make_seed
 
 
+def test_sphere_surface_measure_known_values():
+    assert omega(1) == pytest.approx(2.0, abs=1e-14)
+    assert omega(2) == pytest.approx(2 * math.pi, abs=1e-14)
+    assert omega(3) == pytest.approx(4 * math.pi, abs=1e-13)
+    assert omega(4) == pytest.approx(2 * math.pi**2, abs=1e-13)
+    with pytest.raises(DomainError):
+        omega(0)
+
+
 class TestWedgeModel:
     def test_right_angle_fields(self, wedge2):
         assert wedge2.d == 2 and wedge2.j == 2
