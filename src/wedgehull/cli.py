@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .errors import DomainError, WedgehullError
@@ -199,10 +200,16 @@ def cmd_constants(args) -> int:
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     dims = (2, 3) if args.dim is None else (args.dim,)
-    results = run_suites(names, dims=dims)
-    for result in results:
-        status = "pass" if result.passed else "FAIL"
-        print(f"[{status}] {result.suite}.{result.name}: {result.detail}", file=sys.stderr)
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        checks = run_suites((name,), dims=dims)
+        elapsed = time.perf_counter() - start
+        for result in checks:
+            status = "pass" if result.passed else "FAIL"
+            print(f"[{status}] {result.suite}.{result.name}: {result.detail}", file=sys.stderr)
+        print(f"[time] {name}: {len(checks)} checks in {elapsed:.2f} s", file=sys.stderr)
+        results.extend(checks)
     failures = [r for r in results if not r.passed]
     report = {
         "suites": list(names),

@@ -17,7 +17,7 @@ import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise DomainError(f"unknown config fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise DomainError(f"missing config fields: {missing}")
         kwargs = dict(data)
         for key in ("grid", "fit_window", "normals"):
             if kwargs.get(key) is not None:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import DomainError, QuadratureError, SamplerStalled
+from .errors import DomainError, QuadratureError
 from .formulas import EstimatorReport, parallelotope_volume
 from .geometry import (
+    CHART_TOL,
     WedgeModel,
     normal_from_angles,
     omega,
@@ -31,8 +32,6 @@ from .sampling import SeedSpec, _unit_sphere
 
 _MIN_SAMPLES = 10**4
 _BATCH = 1 << 17
-_I1_STALL_PROPOSALS = 10**7
-_I1_STALL_ACCEPTANCE = 1e-4
 _QUAD_RTOL = 1e-8
 
 
@@ -96,39 +95,61 @@ def cross_section_measure(d: int, phi: float, psi: float) -> float:
     return beta * omega(d) / (2.0 * math.pi)
 
 
+def _lune_frame(d: int, phi: float, psi: float):
+    """Basis of the sliced great subsphere and the wedge's arc inside it.
+
+    Returns (basis, plane, start, width).  basis is the (d+1, d) orthonormal
+    complement of the chart normal; plane holds an orthonormal pair (a, b),
+    in basis coordinates, spanning the two projected wedge normals with a
+    along the first.  The wedge is the set of slice points whose polar angle
+    in that plane lies in [start, start + width] = [gamma - pi/2, pi/2], where
+    gamma is the angle of the second projected normal, so width is the
+    opening angle.  Raises DomainError when a projected normal is shorter
+    than CHART_TOL (psi = 0): the chart normal is then parallel to that
+    wedge normal, and the slice is not the lune of angle opening_angle.
+    """
+    u = np.zeros(d - 1)
+    u[0] = 1.0
+    basis = orthonormal_complement(normal_from_angles(phi, psi, u))
+    normals = (WedgeModel.right_angle(d).normals @ basis).T
+    lengths = np.linalg.norm(normals, axis=0)
+    if lengths.min() < CHART_TOL:
+        raise DomainError(
+            f"a wedge normal is parallel to the chart normal at phi={phi}, psi={psi}: "
+            f"projected lengths {lengths[0]:.3e}, {lengths[1]:.3e}"
+        )
+    # Householder QR keeps (a, b) orthonormal even when the projected normals
+    # are (nearly) parallel, where b may be any direction orthogonal to a.
+    q, r = np.linalg.qr(normals)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    gamma = math.atan2(abs(r[1, 1]), signs[0] * r[0, 1])
+    return basis, (q * signs).T, gamma - math.pi / 2.0, math.pi - gamma
+
+
 def subsphere_wedge_points(
     d: int, phi: float, psi: float, count: int, seed: SeedSpec
 ) -> np.ndarray:
     """Uniform wedge points on the great subsphere orthogonal to the chart normal.
 
-    Draws isotropic directions inside the hyperplane through an orthonormal
-    basis and rejects to the wedge.  Raises SamplerStalled when the observed
-    acceptance drops below 1e-4 with at least 1e7 proposals consumed.
+    Exact, with no rejection: draws count isotropic directions in the
+    subsphere and maps each one's polar angle in the plane of the projected
+    wedge normals linearly from (-pi, pi] onto the wedge's arc, leaving the
+    orthogonal part as it is.  An isotropic direction's polar angle is
+    uniform and independent of the rest of the point, so the image is
+    uniform on the sliced wedge.  The arc comes from the projected normals,
+    not from the opening-angle closed form.  Raises DomainError where the
+    slice degenerates (psi = 0, see _lune_frame).
     """
-    model = WedgeModel.right_angle(d)
-    u = np.zeros(d - 1)
-    u[0] = 1.0
-    z = normal_from_angles(phi, psi, u)
-    basis = orthonormal_complement(z)
-    accepted: list[np.ndarray] = []
-    have = 0
-    proposals = 0
-    chunk_index = 0
-    while have < count:
-        rng = seed.substream("subsphere", chunk_index).generator()
-        coords = _unit_sphere(rng, d - 1, _BATCH)
-        points = coords @ basis.T
-        keep = points[wedge_contains(model, points)]
-        accepted.append(keep)
-        have += keep.shape[0]
-        proposals += _BATCH
-        chunk_index += 1
-        if proposals >= _I1_STALL_PROPOSALS and have < _I1_STALL_ACCEPTANCE * proposals:
-            raise SamplerStalled(
-                f"subsphere wedge acceptance {have / proposals:.2e} below "
-                f"{_I1_STALL_ACCEPTANCE:.0e}"
-            )
-    return np.concatenate(accepted, axis=0)[:count]
+    basis, plane, start, width = _lune_frame(d, phi, psi)
+    coords = _unit_sphere(seed.substream("subsphere").generator(), d - 1, count)
+    inplane = coords @ plane.T
+    radius = np.hypot(inplane[:, 0], inplane[:, 1])
+    theta = start + (np.arctan2(inplane[:, 1], inplane[:, 0]) + math.pi) * (
+        width / (2.0 * math.pi)
+    )
+    moved = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    coords += (moved - inplane) @ plane
+    return coords @ basis.T
 
 
 def mc_I1(

@@ -8,7 +8,7 @@ import wedgehull.experiments as experiments
 from wedgehull import DegenerateInput
 from wedgehull.cli import main, parse_grid
 from wedgehull.experiments import CSV_HEADER
-from wedgehull.suites import CheckResult
+from wedgehull.suites import SUITE_NAMES, CheckResult
 
 SEED = "20260815"
 
@@ -156,6 +156,18 @@ class TestSimulateCommand:
         assert json.loads(out)["config"]["reps"] == 3
         assert list((tmp_path).glob("binomial_d2_*.csv"))
 
+    def test_config_missing_fields_exits_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "binomial", "d": 2, "grid": [8, 16, 32]}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "usage error" in err
+        assert "master_seed" in err and "reps" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_output_dir_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
         argv = [
@@ -285,6 +297,23 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "[FAIL]" in err
+
+    def test_reports_time_per_suite(self, capsys, monkeypatch):
+        def fake_run_suites(names, dims):
+            return [CheckResult(name, "synthetic", True, "ok") for name in names]
+
+        monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+        code, out, err = run_cli(capsys, ["verify"])
+        assert code == 0
+        timed = [line for line in err.splitlines() if line.startswith("[time] ")]
+        assert [line.split(":")[0] for line in timed] == [
+            f"[time] {name}" for name in SUITE_NAMES
+        ]
+        assert all(line.endswith(" s") and "1 checks in" in line for line in timed)
+        report = json.loads(out)
+        assert list(report) == ["suites", "dims", "checks", "passed"]
+        assert report["suites"] == list(SUITE_NAMES)
+        assert [c["suite"] for c in report["checks"]] == list(SUITE_NAMES)
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 import wedgehull.oracles as oracles
 from wedgehull import (
     DomainError,
     LimitLemmaReport,
-    SamplerStalled,
     WedgeModel,
     i2_closed,
     mc_binomial_limit_lemma,
@@ -17,7 +17,10 @@ from wedgehull import (
     mc_wedge_measure,
     normal_from_angles,
     opening_angle,
+    orthonormal_complement,
+    parallelotope_volume,
     quadrature_I1_dim2,
+    wedge_contains,
     wedge_measure,
 )
 from wedgehull.oracles import (
@@ -26,6 +29,7 @@ from wedgehull.oracles import (
     i1_upper_bound,
     subsphere_wedge_points,
 )
+from wedgehull.sampling import _unit_sphere
 
 from .conftest import make_seed
 
@@ -85,6 +89,27 @@ class TestCapMeasureOracle:
             mc_cap_measure(wedge2, np.array([0.0, 0.0, 1.0]), 100, make_seed("cap", 7))
 
 
+def _slice_normal(d, phi, psi):
+    u = np.zeros(d - 1)
+    u[0] = 1.0
+    return normal_from_angles(phi, psi, u)
+
+
+def _rejection_slice_points(d, phi, psi, count, seed):
+    """Reference sampler: isotropic points on the slice, rejected to the wedge."""
+    model = WedgeModel.right_angle(d)
+    basis = orthonormal_complement(_slice_normal(d, phi, psi))
+    rng = seed.generator()
+    kept = []
+    have = 0
+    while have < count:
+        pts = _unit_sphere(rng, d - 1, 10**5) @ basis.T
+        pts = pts[wedge_contains(model, pts)]
+        kept.append(pts)
+        have += len(pts)
+    return np.concatenate(kept)[:count]
+
+
 class TestCrossSection:
     def test_dim2_reduces_to_opening_angle(self):
         for phi, psi in ((0.9, 0.5), (0.3, 1.2), (1.4, 0.1)):
@@ -97,15 +122,9 @@ class TestCrossSection:
 
     def test_hit_fraction_agreement(self, rng):
         # The rejection acceptance on the sliced subsphere is beta/(2 pi).
-        from wedgehull import orthonormal_complement, wedge_contains
-        from wedgehull.sampling import _unit_sphere
-
         for d, phi, psi in ((2, 0.9, 0.5), (3, 1.1, 0.7)):
             model = WedgeModel.right_angle(d)
-            u = np.zeros(d - 1)
-            u[0] = 1.0
-            z = normal_from_angles(phi, psi, u)
-            basis = orthonormal_complement(z)
+            basis = orthonormal_complement(_slice_normal(d, phi, psi))
             n = 2 * 10**5
             pts = _unit_sphere(make_seed("xsec", d).generator(), d - 1, n) @ basis.T
             frac = wedge_contains(model, pts).mean()
@@ -120,10 +139,62 @@ class TestCrossSection:
         assert np.abs(pts @ z).max() < 1e-12
         assert np.all(pts @ wedge3.normals.T >= -1e-12)
 
-    def test_stall_detection(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_I1_STALL_PROPOSALS", 2 * oracles._BATCH)
-        with pytest.raises(SamplerStalled):
-            subsphere_wedge_points(2, 1e-4, 0.3, 100, make_seed("stall"))
+
+class TestLuneSampler:
+    def test_arc_matches_opening_angle(self):
+        for d in (2, 3, 4):
+            for phi in np.linspace(0.0, math.pi - 1e-6, 13):
+                for psi in (1e-6, 1e-3, 0.3, 0.9, 1.4, math.pi / 2 - 1e-6):
+                    _, plane, _, width = oracles._lune_frame(d, phi, psi)
+                    assert width == pytest.approx(float(opening_angle(phi, psi)), abs=1e-9)
+                    assert np.abs(plane @ plane.T - np.eye(2)).max() < 1e-14
+
+    def test_psi_zero_is_rejected(self):
+        # z = -e_(d+1) is parallel to a wedge normal: the slice is a half
+        # subsphere, not the lune of angle phi that the closed form uses.
+        for d in (2, 3):
+            with pytest.raises(DomainError):
+                subsphere_wedge_points(d, 0.8, 0.0, 10, make_seed("psi0", d))
+        with pytest.raises(DomainError):
+            mc_I1(2, 0.8, 0.0, 10**4, make_seed("psi0"))
+
+    def test_thin_slice_returns_count(self):
+        for d in (2, 3):
+            model = WedgeModel.right_angle(d)
+            z = _slice_normal(d, 1e-4, 0.3)
+            pts = subsphere_wedge_points(d, 1e-4, 0.3, 20000, make_seed("thin", d))
+            assert pts.shape == (20000, d + 1)
+            assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-14
+            assert np.abs(pts @ z).max() < 1e-12
+            assert wedge_contains(model, pts).all()
+
+    def test_agrees_with_rejection_dim3(self):
+        d, phi, psi, count = 3, 1.1, 0.7, 30000
+        model = WedgeModel.right_angle(d)
+        direct = subsphere_wedge_points(d, phi, psi, count, make_seed("lune", "direct"))
+        reference = _rejection_slice_points(d, phi, psi, count, make_seed("lune", "reject"))
+        for normal in model.normals:
+            assert scipy.stats.ks_2samp(direct @ normal, reference @ normal).pvalue > 1e-3
+        vols_a = parallelotope_volume(direct.reshape(-1, d, d + 1))
+        vols_b = parallelotope_volume(reference.reshape(-1, d, d + 1))
+        se = math.hypot(
+            vols_a.std(ddof=1) / math.sqrt(vols_a.size),
+            vols_b.std(ddof=1) / math.sqrt(vols_b.size),
+        )
+        assert abs(vols_a.mean() - vols_b.mean()) <= 4 * se
+
+    def test_inplane_angle_uniform_dim2(self):
+        # Angle from the arc's end on the first bounding circle is uniform on [0, beta].
+        for phi, psi in ((0.9, 0.5), (2.5, 1.2), (0.05, 0.05)):
+            model = WedgeModel.right_angle(2)
+            basis = orthonormal_complement(_slice_normal(2, phi, psi))
+            first, second = model.normals @ basis
+            end = np.array([-first[1], first[0]])
+            end *= np.sign(end @ second) / np.linalg.norm(end)
+            pts = subsphere_wedge_points(2, phi, psi, 5000, make_seed("angle", phi))
+            angle = np.arccos(np.clip((pts @ basis) @ end, -1.0, 1.0))
+            beta = float(opening_angle(phi, psi))
+            assert scipy.stats.kstest(angle, "uniform", args=(0.0, beta)).pvalue > 1e-3
 
 
 class TestI1Oracle:
