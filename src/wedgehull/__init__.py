@@ -59,7 +59,6 @@ from .oracles import (
     mc_binomial_limit_lemma,
     mc_cap_measure,
     mc_I1,
-    mc_wedge_measure,
     quadrature_I1_dim2,
 )
 from .sampling import (

@@ -30,7 +30,6 @@ from .sampling import SeedSpec
 from .suites import SUITE_NAMES, run_suites
 
 OUTPUT_DIR_ENV = "WEDGEHULL_OUTPUT_DIR"
-_MIN_CONSTANT_SAMPLES = 1000
 
 
 def parse_grid(text: str):
@@ -165,16 +164,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.dim < 2:
-        print("usage error: --dim must be at least 2", file=sys.stderr)
+    try:
+        report = estimate_A_d(args.dim, args.samples, SeedSpec(args.seed, 0))
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.samples < _MIN_CONSTANT_SAMPLES:
-        print(
-            f"usage error: --samples must be at least {_MIN_CONSTANT_SAMPLES}",
-            file=sys.stderr,
-        )
-        return 2
-    report = estimate_A_d(args.dim, args.samples, SeedSpec(args.seed, 0))
     constants = model_constants(args.dim, report)
     payload = {
         "d": args.dim,

@@ -71,6 +71,18 @@ MODEL_SPECS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(name: str, values) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(
+        _is_int(v) or isinstance(v, float) for v in values
+    ):
+        raise DomainError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one facet-count sweep."""
@@ -89,6 +101,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODEL_SPECS:
             raise DomainError(f"model must be one of {tuple(MODEL_SPECS)}")
+        for name in ("d", "reps", "master_seed", "j", "ell"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "ell" and value is None)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise DomainError("dimension must be at least 2")
         spec = MODEL_SPECS[self.model]
@@ -96,10 +112,10 @@ class ExperimentConfig:
         if spec.j == "ell":
             if self.ell is None:
                 object.__setattr__(self, "ell", 3)
-            object.__setattr__(self, "j", int(self.ell))
+            object.__setattr__(self, "j", self.ell)
         elif spec.j != "j":
             object.__setattr__(self, "j", spec.j)
-        grid = tuple(self.grid)
+        grid = _numbers("grid", self.grid)
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
@@ -110,7 +126,7 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             raise DomainError("master_seed must fit in 64 bits")
         if self.fit_window is not None:
-            window = tuple(self.fit_window)
+            window = _numbers("fit_window", self.fit_window)
             object.__setattr__(self, "fit_window", window)
             if not set(window) <= set(grid):
                 raise DomainError("fit_window must be a subset of the grid")

@@ -18,7 +18,7 @@ map; the chart covers the closure phi in [0, pi], psi in [0, pi/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class WedgeModel:
     j: int
     normals: np.ndarray
     center: np.ndarray
-    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -119,14 +118,14 @@ class WedgeModel:
         normals[0, d - 1] = 1.0
         normals[1, d] = 1.0
         center = (normals[0] + normals[1]) / math.sqrt(2.0)
-        return cls(d=d, j=2, normals=normals, center=center, name="right_angle")
+        return cls(d=d, j=2, normals=normals, center=center)
 
     @classmethod
     def half_sphere(cls, d: int) -> "WedgeModel":
         """Half sphere bounded by the hyperplane normal to e_(d+1)."""
         normals = np.zeros((1, d + 1))
         normals[0, d] = 1.0
-        return cls(d=d, j=1, normals=normals, center=normals[0].copy(), name="half_sphere")
+        return cls(d=d, j=1, normals=normals, center=normals[0].copy())
 
     @classmethod
     def from_normals(cls, d: int, normals, center=None) -> "WedgeModel":

@@ -17,6 +17,7 @@ continuous models) are excluded from the facet set and flagged.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +31,11 @@ from .sampling import SampleCloud
 SIGN_TOL = 1e-10
 _AMBIENT_CAP_HIGH_D = 120
 _SUBSET_CHUNK = 1 << 14
-_PRUNE_THRESHOLD = 512
 _QHULL_FALLBACK_CAP = 60
+# Counterclockwise angular order, which _prune_interior relies on.
+_OCTAGON = np.array(
+    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], float
+)
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def _generalized_cross(stack: np.ndarray) -> np.ndarray:
     return normals
 
 
-def facets_ambient(cloud, tol: float = SIGN_TOL) -> FacetSet:
+def facets_ambient(cloud) -> FacetSet:
     """Exhaustive facet scan over all d-subsets in ambient coordinates.
 
     O(C(n, d) * n); dimension-generic.  Subsets whose hyperplane leaves
@@ -101,7 +105,7 @@ def facets_ambient(cloud, tol: float = SIGN_TOL) -> FacetSet:
         z_norms = np.linalg.norm(normals, axis=1)
         dots = normals @ points.T
         scale = np.maximum(np.abs(dots).max(axis=1), z_norms)
-        thr = tol * np.maximum(scale, 1e-300)
+        thr = SIGN_TOL * np.maximum(scale, 1e-300)
         pos = (dots > thr[:, None]).sum(axis=1)
         neg = (dots < -thr[:, None]).sum(axis=1)
         own = np.take_along_axis(dots, subsets, axis=1)
@@ -135,44 +139,34 @@ def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> int:
 
 
 def _prune_interior(coords: np.ndarray) -> np.ndarray:
-    """Indices that survive a conservative extreme-octagon interior filter."""
+    """Indices that survive a conservative extreme-octagon interior filter.
+
+    The argmax points of the eight directions, taken in the directions'
+    counterclockwise order with cyclic repeats dropped, form a convex
+    polygon in counterclockwise order; a point left of every edge by a
+    margin lies strictly inside it and cannot be a hull vertex.
+    """
     n = coords.shape[0]
-    directions = np.array(
-        [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float
-    )
-    extremes = np.unique([np.argmax(coords @ direction) for direction in directions])
-    if extremes.size < 3:
+    picks = [int(np.argmax(coords @ direction)) for direction in _OCTAGON]
+    extremes = [i for k, i in enumerate(picks) if i != picks[k - 1]]
+    if len(set(extremes)) < 3:
         return np.arange(n)
-    poly = coords[extremes]
-    centroid = poly.mean(axis=0)
-    order = np.argsort(np.arctan2(poly[:, 1] - centroid[1], poly[:, 0] - centroid[0]))
-    poly = poly[order]
-    scale = float(np.abs(coords).max()) or 1.0
-    margin = 1e-9 * scale
+    x, y = coords[:, 0], coords[:, 1]
+    margin = 1e-9 * (float(np.abs(coords).max()) or 1.0)
     inside = np.ones(n, dtype=bool)
-    for k in range(len(poly)):
-        a, b = poly[k], poly[(k + 1) % len(poly)]
-        edge = b - a
-        length = float(np.hypot(edge[0], edge[1]))
-        if length <= 0.0:
-            return np.arange(n)
-        signed = (edge[0] * (coords[:, 1] - a[1]) - edge[1] * (coords[:, 0] - a[0])) / length
-        if np.any(signed[extremes] < -margin):  # ordering failed; abandon pruning
-            return np.arange(n)
-        inside &= signed > margin
-    keep = ~inside
-    keep[extremes] = True
-    return np.flatnonzero(keep)
+    for a, b in zip(extremes, extremes[1:] + extremes[:1]):
+        ex, ey = coords[b] - coords[a]
+        cross = ex * (y - coords[a, 1]) - ey * (x - coords[a, 0])
+        inside &= cross > margin * math.hypot(ex, ey)
+    inside[extremes] = False
+    return np.flatnonzero(~inside)
 
 
 def _hull2d(coords: np.ndarray):
-    """Monotone-chain hull; returns (edges, vertex ids in ccw order, flag)."""
-    n = coords.shape[0]
-    if n == 1:
-        return [], [0], False
-    if n == 2:
+    """Monotone chain on the filter's survivors; returns (edges, ccw vertex ids, flag)."""
+    if coords.shape[0] == 2:
         return [(0, 1)], [0, 1], False
-    candidates = _prune_interior(coords) if n > _PRUNE_THRESHOLD else np.arange(n)
+    candidates = _prune_interior(coords)
     sub = coords[candidates]
     order = candidates[np.lexsort((sub[:, 1], sub[:, 0]))]
     degenerate = False
@@ -196,10 +190,7 @@ def _hull2d(coords: np.ndarray):
     vertices = lower[:-1] + upper[:-1]
     if len(vertices) < 3:
         # all candidate points collinear (or coincident)
-        degenerate = True
         vertices = sorted(set(lower))
-        if len(vertices) < 2:
-            return [], vertices, True
         return [tuple(sorted((vertices[0], vertices[-1])))], vertices, True
     edges = [
         tuple(sorted((vertices[k], vertices[(k + 1) % len(vertices)])))
@@ -208,7 +199,7 @@ def _hull2d(coords: np.ndarray):
     return edges, vertices, degenerate
 
 
-def facets_projected(cloud, tol: float = SIGN_TOL) -> FacetSet:
+def facets_projected(cloud) -> FacetSet:
     """Facets via gnomonic projection and a Euclidean convex hull.
 
     Monotone chain with exact-sign fallback for d=2, Qhull for d=3 (with an
@@ -223,7 +214,7 @@ def facets_projected(cloud, tol: float = SIGN_TOL) -> FacetSet:
     if n < d:
         raise DomainError(f"need at least d={d} points, got {n}")
     if d >= 4:
-        return facets_ambient(cloud, tol=tol)
+        return facets_ambient(cloud)
     basis = orthonormal_complement(model.center)
     tangent = gnomonic_project(model.center, points)
     # column by column: matrix-vector products, no small-matrix BLAS call
@@ -234,12 +225,12 @@ def facets_projected(cloud, tol: float = SIGN_TOL) -> FacetSet:
             facets=frozenset(edges), vertex_count=len(vertices), degenerate_flag=degenerate
         )
     if n <= d + 1:
-        return facets_ambient(cloud, tol=tol)
+        return facets_ambient(cloud)
     try:
         hull = ConvexHull(coords)
     except QhullError as exc:
         if n <= _QHULL_FALLBACK_CAP:
-            return facets_ambient(cloud, tol=tol)
+            return facets_ambient(cloud)
         raise DegenerateInput(f"hull construction failed for n={n}, d={d}") from exc
     facets = frozenset(tuple(sorted(int(i) for i in simplex)) for simplex in hull.simplices)
     vertex_count = len(hull.vertices)

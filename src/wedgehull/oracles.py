@@ -28,10 +28,9 @@ from .geometry import (
     orthonormal_complement,
     wedge_contains,
 )
-from .sampling import SeedSpec, _unit_sphere
+from .sampling import _BATCH, SeedSpec, _unit_sphere
 
 _MIN_SAMPLES = 10**4
-_BATCH = 1 << 17
 _QUAD_RTOL = 1e-8
 
 
@@ -63,11 +62,6 @@ def _hit_fraction_report(
     return EstimatorReport(
         value=total * p, std_error=std_error, sample_count=sample_count, seed=seed
     )
-
-
-def mc_wedge_measure(model: WedgeModel, sample_count: int, seed: SeedSpec) -> EstimatorReport:
-    """Hit-fraction estimate of the wedge's surface measure."""
-    return _hit_fraction_report(model, sample_count, seed, "wedge_measure")
 
 
 def mc_cap_measure(

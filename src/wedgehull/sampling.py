@@ -61,18 +61,13 @@ def derive_stream(*parts) -> int:
 
 @dataclass
 class SampleCloud:
-    """A finite point set on a wedge plus the seed metadata that produced it."""
+    """A finite point set on a wedge, checked on construction to lie on it."""
 
     model: WedgeModel
     points: np.ndarray
-    seed: SeedSpec
-    kind: str
-    size_param: float
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, self.model.d + 1)
-        if self.kind not in ("binomial", "poisson"):
-            raise DomainError(f"unknown cloud kind {self.kind!r}")
         self.validate()
 
     def __len__(self) -> int:
@@ -157,7 +152,7 @@ def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> Sampl
     if count < 0:
         raise DomainError("count must be nonnegative")
     points = _wedge_points(model, seed.generator(), count)
-    return SampleCloud(model=model, points=points, seed=seed, kind="binomial", size_param=count)
+    return SampleCloud(model=model, points=points)
 
 
 def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> SampleCloud:
@@ -185,7 +180,7 @@ def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> Sam
         n = int(rng.poisson(mean))
         batch = _unit_sphere(rng, model.d, n)
         points = batch[wedge_contains(model, batch)]
-    return SampleCloud(model=model, points=points, seed=seed, kind="poisson", size_param=gamma)
+    return SampleCloud(model=model, points=points)
 
 
 def _beta_prime(rng: np.random.Generator, k: int, beta: float, count: int) -> np.ndarray:

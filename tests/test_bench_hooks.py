@@ -1,20 +1,26 @@
 """The benchmark's hooks into the package must name things that exist.
 
 `perfbench/spans.py` wraps every `(module, attribute)` in its `TARGETS`, and
-`perfbench/child.py` patches attributes of `wedgehull.cli`.  A rename in the
-package would break the traced benchmark run without failing any other test.
+`perfbench/child.py` patches attributes of `wedgehull.cli` and replaces
+`suites.suite_<name>` with a copy that applies the keyword budgets of
+`perfbench/workloads.json`.  A rename in the package, or a suite table that
+binds the suite functions at import time, would break the benchmark (or run
+it at full budget) without failing any other test.
 Both files are only read here: `spans.py` is executed from its source (no
 bytecode cache is written) and `child.py` is parsed, never run.
 """
 
 import ast
 import importlib
+import inspect
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
 import wedgehull.cli as cli
+import wedgehull.suites as suites
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TARGETS = runpy.run_path(str(PERFBENCH / "spans.py"))["TARGETS"]
@@ -42,3 +48,22 @@ def test_child_patches_existing_cli_names():
     assert {"run_experiment", "run_suites"} <= names
     for name in names:
         assert callable(getattr(cli, name)), name
+
+
+def test_run_suites_finds_suite_functions_at_call_time(monkeypatch):
+    sentinel = object()
+    monkeypatch.setattr(suites, "suite_appendix", lambda: [sentinel])
+    assert cli.run_suites(("appendix",)) == [sentinel]
+
+
+def test_suite_budgets_name_suite_parameters():
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    budgets = {
+        name: budget
+        for workload in workloads["workloads"].values()
+        for name, budget in workload["inputs"].get("suite_budgets", {}).items()
+    }
+    assert budgets
+    for name, budget in budgets.items():
+        parameters = inspect.signature(getattr(suites, f"suite_{name}")).parameters
+        assert set(budget) <= set(parameters), name

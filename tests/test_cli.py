@@ -168,6 +168,19 @@ class TestSimulateCommand:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field, value", [("d", "2"), ("reps", 3.5), ("reps", True)])
+    def test_config_mistyped_field_exits_two(self, capsys, tmp_path, field, value):
+        data = {"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 3, "master_seed": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**data, field: value}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"usage error: {field} must be an integer" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_output_dir_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
         argv = [

@@ -142,6 +142,26 @@ class TestConfig:
                 model="conjecture_probe", d=2, grid=(8, 16), reps=2, master_seed=SEED, j=3
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", "2"),
+            ("d", 2.0),
+            ("reps", 3.5),
+            ("reps", True),
+            ("master_seed", "1"),
+            ("j", 2.0),
+            ("ell", True),
+            ("grid", ("8", "16")),
+            ("grid", (8, True)),
+            ("grid", "8,16"),
+            ("fit_window", (16, "32")),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            binomial_cfg(**{field: value})
+
     def test_round_trip_through_dict(self):
         cfg = binomial_cfg(fit_window=(16, 32), output_path="out.csv")
         clone = ExperimentConfig.from_dict(cfg.to_dict())

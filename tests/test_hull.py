@@ -15,7 +15,7 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.hull import _hull2d
+from wedgehull.hull import _hull2d, _prune_interior
 
 from .conftest import make_seed
 
@@ -25,13 +25,16 @@ def cloud_of(model, seed_parts, n):
 
 
 def manual_cloud(model, points):
-    return SampleCloud(
-        model=model,
-        points=points,
-        seed=make_seed("manual"),
-        kind="binomial",
-        size_param=len(points),
-    )
+    return SampleCloud(model=model, points=points)
+
+
+def planar_coords(cloud):
+    basis = orthonormal_complement(cloud.model.center)
+    return gnomonic_project(cloud.model.center, cloud.points) @ basis
+
+
+def qhull_vertices(coords):
+    return set(scipy.spatial.ConvexHull(coords).vertices.tolist())
 
 
 class TestDualRouteEquivalence:
@@ -107,6 +110,73 @@ class TestLargePlanarHull:
         assert fs.facets == frozenset(
             tuple(sorted(int(i) for i in simplex)) for simplex in oracle.simplices
         )
+
+
+class TestPruneAtEverySize:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 30, 512, 513])
+    def test_routes_match_qhull(self, wedge2, n):
+        cloud = cloud_of(wedge2, ("every_n", n), n)
+        a = facets_ambient(cloud)
+        p = facets_projected(cloud)
+        oracle = scipy.spatial.ConvexHull(planar_coords(cloud))
+        assert not a.degenerate_flag and not p.degenerate_flag
+        assert a.facets == p.facets
+        assert p.facets == frozenset(
+            tuple(sorted(int(i) for i in simplex)) for simplex in oracle.simplices
+        )
+        assert a.vertex_count == p.vertex_count == len(oracle.vertices)
+
+    @pytest.mark.parametrize("n, side", [(20, 2), (700, 5)])
+    def test_lattice_ties_keep_hull_vertices(self, n, side):
+        # Snapped coordinates make several points tie for each argmax.
+        rng = np.random.default_rng(n)
+        coords = np.round(rng.uniform(-side, side, (n, 2)))
+        kept = set(_prune_interior(coords).tolist())
+        assert qhull_vertices(coords) <= kept
+        # duplicated corners: compare the chain's corners by position
+        corners = {tuple(coords[i]) for i in _hull2d(coords)[1]}
+        assert corners == {tuple(coords[i]) for i in qhull_vertices(coords)}
+
+    @pytest.mark.parametrize("n", [3, 5, 600])
+    def test_coincident_points_give_flagged_segment(self, n):
+        coords = np.tile([[0.3, -0.2]], (n, 1))
+        assert _prune_interior(coords).tolist() == list(range(n))
+        assert _hull2d(coords) == ([(0, n - 1)], [0, n - 1], True)
+
+    @pytest.mark.parametrize("n", [4, 600])
+    def test_collinear_points_keep_both_ends(self, n):
+        t = np.linspace(-1.0, 1.0, n)
+        coords = np.column_stack([t, 2.0 * t])
+        assert {0, n - 1} <= set(_prune_interior(coords).tolist())
+        edges, _, flag = _hull2d(coords)
+        assert flag and edges == [(0, n - 1)]
+
+    @pytest.mark.parametrize("n", [12, 700])
+    @pytest.mark.parametrize("far", [(10.0, 10.0), (10.0, -10.0)])
+    def test_point_winning_several_directions(self, n, far):
+        # (10, -10) wins the first and the last direction of the octagon, so
+        # its repeats wrap around the cyclic order.
+        rng = np.random.default_rng(n)
+        coords = np.vstack([rng.uniform(0.0, 1.0, (n, 2)), [far]])
+        kept = _prune_interior(coords)
+        reference = qhull_vertices(coords)
+        assert reference <= set(kept.tolist())
+        assert len(kept) < len(coords)
+        assert set(_hull2d(coords)[1]) == reference
+
+    @pytest.mark.parametrize("n", [13, 600])
+    def test_interior_duplicate_gives_same_facets(self, wedge2, n):
+        base = cloud_of(wedge2, ("interior_dup", n), n - 1).points
+        coords = planar_coords(manual_cloud(wedge2, base))
+        inner = int(np.argmin(np.linalg.norm(coords - coords.mean(axis=0), axis=1)))
+        assert inner not in qhull_vertices(coords)
+        cloud = manual_cloud(wedge2, np.vstack([base, base[inner]]))
+        a = facets_ambient(cloud)
+        p = facets_projected(cloud)
+        assert a.degenerate_flag
+        assert a.facets == p.facets
+        # the projected route sees the duplicate only if it survives the prune
+        assert p.degenerate_flag == (inner in _prune_interior(planar_coords(cloud)))
 
 
 class TestDegenerateDetection:

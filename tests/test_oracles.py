@@ -14,7 +14,6 @@ from wedgehull import (
     mc_binomial_limit_lemma,
     mc_cap_measure,
     mc_I1,
-    mc_wedge_measure,
     normal_from_angles,
     opening_angle,
     orthonormal_complement,
@@ -34,25 +33,33 @@ from wedgehull.sampling import _unit_sphere
 from .conftest import make_seed
 
 
+def top_axis(model):
+    """e_{d+1}: its cap x . z >= 0 holds the whole wedge of a right-angle or half-sphere model."""
+    z = np.zeros(model.d + 1)
+    z[-1] = 1.0
+    return z
+
+
 class TestWedgeMeasureOracle:
     def test_quarter_sphere_values(self, wedge2, wedge3):
         for model, target in ((wedge2, math.pi), (wedge3, math.pi**2 / 2)):
-            est = mc_wedge_measure(model, 2 * 10**5, make_seed("wm", model.d))
+            est = mc_cap_measure(model, top_axis(model), 2 * 10**5, make_seed("wm", model.d))
             assert abs(est.value - target) <= 3 * est.std_error
 
     def test_half_sphere(self):
         model = WedgeModel.half_sphere(2)
-        est = mc_wedge_measure(model, 2 * 10**5, make_seed("wm", "half"))
+        est = mc_cap_measure(model, top_axis(model), 2 * 10**5, make_seed("wm", "half"))
         assert abs(est.value - 2 * math.pi) <= 3 * est.std_error
 
     def test_std_error_scaling(self, wedge2):
-        se4 = mc_wedge_measure(wedge2, 10**4, make_seed("wm", "s", 4)).std_error
-        se6 = mc_wedge_measure(wedge2, 10**6, make_seed("wm", "s", 6)).std_error
+        z = top_axis(wedge2)
+        se4 = mc_cap_measure(wedge2, z, 10**4, make_seed("wm", "s", 4)).std_error
+        se6 = mc_cap_measure(wedge2, z, 10**6, make_seed("wm", "s", 6)).std_error
         assert 10.0 / 1.2 <= se4 / se6 <= 10.0 * 1.2
 
     def test_minimum_sample_guard(self, wedge2):
         with pytest.raises(DomainError):
-            mc_wedge_measure(wedge2, 9999, make_seed("wm", "g"))
+            mc_cap_measure(wedge2, top_axis(wedge2), 9999, make_seed("wm", "g"))
 
 
 class TestCapMeasureOracle:

@@ -8,7 +8,6 @@ import wedgehull.sampling as sampling
 from wedgehull import (
     DomainError,
     ResourceLimit,
-    SampleCloud,
     SamplerStalled,
     SeedSpec,
     WedgeModel,
@@ -142,16 +141,6 @@ class TestUniformWedge:
             reference[neg] -= 2.0 * np.outer(dots[neg], normal)
         folded = sampling._fold_to_wedge(model, points)
         assert np.array_equal(folded.view(np.uint64), reference.view(np.uint64))
-
-    def test_cloud_kind_guard(self, wedge2):
-        with pytest.raises(DomainError):
-            SampleCloud(
-                model=wedge2,
-                points=np.zeros((0, 3)),
-                seed=make_seed("k"),
-                kind="mystery",
-                size_param=0,
-            )
 
     def test_rejection_stall_detection(self, monkeypatch):
         # Three normals tilted a hair above a common plane cut a corner so
