@@ -77,9 +77,9 @@ def _is_int(value) -> bool:
 
 def _numbers(name: str, values) -> tuple:
     if not isinstance(values, (list, tuple)) or not all(
-        _is_int(v) or isinstance(v, float) for v in values
+        _is_int(v) or (isinstance(v, float) and math.isfinite(v)) for v in values
     ):
-        raise DomainError(f"{name} must be a list of numbers, got {values!r}")
+        raise DomainError(f"{name} must be a list of finite numbers, got {values!r}")
     return tuple(values)
 
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_int(value) or (name == "ell" and value is None)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise DomainError(f"output_path must be a string, got {self.output_path!r}")
         if self.d < 2:
             raise DomainError("dimension must be at least 2")
         spec = MODEL_SPECS[self.model]
@@ -130,16 +132,26 @@ class ExperimentConfig:
             object.__setattr__(self, "fit_window", window)
             if not set(window) <= set(grid):
                 raise DomainError("fit_window must be a subset of the grid")
-        if self.normals is not None:
-            normals = tuple(tuple(float(x) for x in row) for row in self.normals)
-            object.__setattr__(self, "normals", normals)
         if spec.kind == "polygon":
             if self.d != 2:
                 raise DomainError("polygon baseline is planar (d=2)")
             if self.ell < 3:
                 raise DomainError("polygon needs at least 3 sides")
+            if self.normals is not None:
+                raise DomainError("polygon baseline takes no normals")
         if spec.j == "j" and not 1 <= self.j <= self.d:
             raise DomainError("probe needs 1 <= j <= d")
+        if self.normals is not None:
+            shape = f"a (j, d+1) = ({self.j}, {self.d + 1}) array of numbers"
+            try:
+                normals = np.asarray(self.normals, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"normals must be {shape}") from exc
+            if normals.shape != (self.j, self.d + 1):
+                raise DomainError(f"normals must be {shape}, got shape {normals.shape}")
+            # the model every task builds, checked once before any output exists
+            _build_model(self.d, self.j, normals)
+            object.__setattr__(self, "normals", tuple(map(tuple, normals.tolist())))
         if MODEL_SPECS[_runs_as(self)].floored and grid[0] < self.d + 1:
             raise DomainError(f"{self.model} grid values must be at least d+1")
 
@@ -155,14 +167,7 @@ class ExperimentConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise DomainError(f"missing config fields: {missing}")
-        kwargs = dict(data)
-        for key in ("grid", "fit_window", "normals"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(
-                    tuple(row) if isinstance(row, (list, tuple)) else row
-                    for row in kwargs[key]
-                )
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -476,9 +481,10 @@ def read_csv(path, config_hash: str = ""):
 def summarize(cfg: ExperimentConfig, records, constants_samples: int = 10**6) -> dict:
     """Aggregate records into the persistent JSON summary document.
 
-    Wedge models get a constants block that re-estimates the parallelotope
-    mean on a stream derived from the master seed, so the whole document is
-    reproducible.  The polygon has none: its theory slope 2*ell/3 needs no A_d.
+    Models whose theory slope is c_{d,2} get a constants block that
+    re-estimates the parallelotope mean on a stream derived from the master
+    seed, so the whole document is reproducible.  The others have none: the
+    half-sphere's plateau and the polygon's 2*ell/3 need no A_d.
     """
     sizes, means, std_errors, _, _ = aggregate(records)
     window = cfg.fit_window if cfg.fit_window is not None else default_fit_window(cfg)
@@ -496,7 +502,7 @@ def summarize(cfg: ExperimentConfig, records, constants_samples: int = 10**6) ->
             "window": list(fit.grid_points_used),
         },
     }
-    if MODEL_SPECS[cfg.model].kind != "polygon":
+    if MODEL_SPECS[cfg.model].slope is _c_d2:
         seed = SeedSpec(cfg.master_seed, derive_stream("constants", cfg.d))
         report = estimate_A_d(cfg.d, constants_samples, seed)
         summary["constants"] = {

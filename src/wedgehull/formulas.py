@@ -73,6 +73,22 @@ def _svd_volume(vectors: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, volume)
 
 
+def _square_volume(stacks: np.ndarray) -> np.ndarray:
+    """|det| of a (count, k, k) stack: closed forms for k = 2 and 3, LU beyond."""
+    k = stacks.shape[-1]
+    if k == 2:
+        a, b, c, d = stacks[:, 0, 0], stacks[:, 0, 1], stacks[:, 1, 0], stacks[:, 1, 1]
+        return np.abs(a * d - b * c)
+    if k == 3:
+        r0, r1, r2 = stacks[:, 0], stacks[:, 1], stacks[:, 2]
+        return np.abs(
+            r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
+            - r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
+            + r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0])
+        )
+    return np.abs(np.linalg.det(stacks))
+
+
 def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     """Volume spanned by row vectors, batched over leading axes.
 
@@ -80,10 +96,15 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     stay nonnegative near rank deficiency; stacks whose smallest singular
     value is below 1e-14 of the largest are snapped to exactly zero.
 
-    Square stacks use |det| instead.  A stack the SVD rule would snap has
-    |det| <= s_min s_max^(k-1) <= 1e-14 ||A||_F^k, so every stack with
-    |det| <= 1e-13 ||A||_F^k (the factor 10 absorbs rounding in det) goes
-    through the SVD rule and snapped stacks still come out exactly zero.
+    Square stacks use |det| instead: |ad - bc| for k = 2, the cofactor
+    expansion along the first row for k = 3, LU beyond.  A stack the SVD
+    rule would snap has |det| <= s_min s_max^(k-1) <= 1e-14 ||A||_F^k, so
+    every stack with |det| <= 1e-13 ||A||_F^k goes through the SVD rule and
+    snapped stacks still come out exactly zero.  The factor 10 covers the
+    rounding: each closed form sums k! products of k entries with at most
+    k + 2 roundings each, so it is off by at most about (k + 2) u perm(|A|)
+    <= 5 u ||A||_F^k < 6e-16 ||A||_F^k (u = 2^-53; perm(|A|) <= the product
+    of the row 1-norms <= ||A||_F^k).  For k >= 4 it covers LU's rounding.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, k = vectors.shape[-2], vectors.shape[-1]
@@ -92,7 +113,7 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     if m < k:
         return _svd_volume(vectors)[()]
     stacks = vectors.reshape(-1, m, k)
-    volume = np.abs(np.linalg.det(stacks))
+    volume = _square_volume(stacks)
     scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (k / 2.0)
     # negated so that NaN and overflowed stacks also take the SVD path
     unsure = ~(volume > 1e-13 * scale)

@@ -181,6 +181,26 @@ class TestSimulateCommand:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "field, extra",
+        [
+            ("normals", {"normals": [[1, 0]]}),
+            ("grid", {"model": "poisson", "grid": [10.0, 20.0, math.nan]}),
+            ("output_path", {"output_path": 5}),
+        ],
+    )
+    def test_config_invalid_value_exits_two(self, capsys, tmp_path, field, extra):
+        data = {"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 2, "master_seed": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**data, **extra}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"usage error: {field} must be" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_output_dir_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
         argv = [
@@ -231,6 +251,13 @@ class TestSimulateCommand:
         (csv_path,) = tmp_path.glob("*.csv")
         assert csv_path.name == f"polygon_baseline_d2_{summary['config']['hash']}.csv"
         assert all(row[2] == "3" for row in strip_wall_column(csv_path.read_text())[1:])
+
+    def test_halfsphere_summary_has_no_constants(self, capsys, tmp_path):
+        argv = ["simulate", "--model", "halfsphere", "--grid", "16,64,256", "--reps", "3"]
+        code, out, err = run_cli(capsys, argv + ["--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert "constants" not in json.loads(out)
+        assert "vs theory plateau = 0.000000" in err
 
     def test_model_spellings(self):
         parser = cli._build_parser()

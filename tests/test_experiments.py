@@ -30,6 +30,7 @@ from wedgehull.experiments import (
 )
 
 SEED = 20260815
+_S = 1.0 / math.sqrt(2.0)
 
 
 def strip_wall(records):
@@ -156,11 +157,28 @@ class TestConfig:
             ("grid", (8, True)),
             ("grid", "8,16"),
             ("fit_window", (16, "32")),
+            ("fit_window", (8, math.inf)),
+            ("output_path", 5),
+            ("normals", ((1.0, 0.0),)),
+            ("normals", ((1.0, 0.0, 0.0), (0.0, 1.0))),
+            ("normals", ((1.0, 0.0, 0.0), ("x", 1.0, 0.0))),
         ],
     )
     def test_rejects_mistyped_fields(self, field, value):
         with pytest.raises(DomainError, match=field):
             binomial_cfg(**{field: value})
+
+    def test_poisson_grid_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            binomial_cfg(model="poisson", grid=(10.0, 20.0, math.nan))
+
+    def test_normals_are_checked_by_the_model(self):
+        with pytest.raises(DomainError, match="orthogonal"):
+            binomial_cfg(normals=((1.0, 0.0, 0.0), (_S, _S, 0.0)))
+        with pytest.raises(DomainError, match="no normals"):
+            binomial_cfg(model="polygon_baseline", normals=((0.0, 0.0, 1.0),) * 3)
+        cfg = binomial_cfg(normals=[[_S, _S, 0], [0, 0, 1]])
+        assert cfg.normals == ((_S, _S, 0.0), (0.0, 0.0, 1.0))
 
     def test_round_trip_through_dict(self):
         cfg = binomial_cfg(fit_window=(16, 32), output_path="out.csv")

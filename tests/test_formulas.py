@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wedgehull.formulas as formulas
 from wedgehull import (
     AppendixReport,
     DomainError,
@@ -148,6 +149,62 @@ class TestParallelotopeVolume:
         vols = parallelotope_volume(mats)
         assert np.all(vols[::2] == 0.0)
         np.testing.assert_allclose(vols[1::2], svd_volume(mats[1::2]), rtol=1e-12)
+
+    def test_dim2_rows_give_the_exact_difference(self, rng):
+        # estimate_A_d's d=2 rows are (u_i, 1): the closed form is |u_1 - u_2| rounded once
+        u = rng.uniform(-1.0, 1.0, size=(10**4, 2))
+        rows = np.stack([u, np.ones_like(u)], axis=-1)
+        np.testing.assert_array_equal(parallelotope_volume(rows), np.abs(u[:, 0] - u[:, 1]))
+
+    def test_just_above_threshold_matches_svd(self, rng, monkeypatch):
+        # |det| = 5e-13 against a threshold of 1e-13 ||A||_F^3 = 2.8e-13, so the
+        # cofactor expansion answers (the SVD must not be called).  Both routes
+        # are off by a few u ||A||_F^3 ~ 2e-15 absolute, under 1e-2 of |det|.
+        q1 = np.linalg.qr(rng.normal(size=(500, 3, 3)))[0]
+        q2 = np.linalg.qr(rng.normal(size=(500, 3, 3)))[0]
+        mats = q1 @ (np.array([1.0, 1.0, 5e-13])[:, None] * q2)
+        reference = svd_volume(mats)
+
+        def no_svd(stacks):
+            raise AssertionError(f"{len(stacks)} stacks sent to the SVD")
+
+        monkeypatch.setattr(formulas, "_svd_volume", no_svd)
+        np.testing.assert_allclose(parallelotope_volume(mats), reference, rtol=1e-2)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nan_and_overflow_take_the_svd_path(self, k, monkeypatch):
+        sent = []
+        real = formulas._svd_volume
+
+        def spy(stacks):
+            sent.append(len(stacks))
+            return real(stacks)
+
+        monkeypatch.setattr(formulas, "_svd_volume", spy)
+        nan_entry = np.eye(k)
+        nan_entry[0, 0] = np.nan
+        inf_entry = np.eye(k)
+        inf_entry[0, 1] = np.inf
+        huge_scale = np.diag([1e160] + [1e-160] * (k - 1))  # |det| is finite, ||A||_F^k is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                parallelotope_volume(nan_entry)
+            assert parallelotope_volume(1e200 * np.eye(k)) == np.inf
+            assert np.isnan(parallelotope_volume(inf_entry))
+            assert parallelotope_volume(huge_scale) == 0.0
+        assert sent == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_million_stacks_agree_with_det(self, rng, k):
+        # Relative to |det| itself the LU route is off by up to ~1e-9 on
+        # near-singular stacks, so both are compared on the threshold's scale.
+        mats = rng.normal(size=(10**6, k, k))
+        vols = parallelotope_volume(mats)
+        scale = np.einsum("ijk,ijk->i", mats, mats) ** (k / 2.0)
+        above = vols > 1e-13 * scale
+        assert above.mean() > 0.999
+        error = np.abs(vols - np.abs(np.linalg.det(mats)))[above]
+        assert np.all(error <= 1e-14 * scale[above])
 
     def test_axis_aligned(self):
         assert parallelotope_volume(np.diag([2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)
