@@ -96,7 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(data)
     if not args.model:
         raise ValueError("either --config or --model is required")

@@ -19,6 +19,7 @@ from .geometry import omega
 from .sampling import SeedSpec, _beta_prime
 
 _A_D_CHUNK = 1 << 20
+_A_D_BLOCK = 1 << 16
 
 
 def wedge_measure(d: int, j: int = 2) -> float:
@@ -67,6 +68,8 @@ def girard_area(a: float, b: float, c: float) -> float:
 
 
 def _svd_volume(vectors: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vectors).all():
+        raise DomainError("parallelotope_volume needs finite entries")
     singular = np.linalg.svd(vectors, compute_uv=False)
     volume = np.prod(singular, axis=-1)
     degenerate = singular[..., -1] <= 1e-14 * singular[..., 0]
@@ -105,6 +108,10 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     k + 2 roundings each, so it is off by at most about (k + 2) u perm(|A|)
     <= 5 u ||A||_F^k < 6e-16 ||A||_F^k (u = 2^-53; perm(|A|) <= the product
     of the row 1-norms <= ||A||_F^k).  For k >= 4 it covers LU's rounding.
+
+    A NaN or infinite entry raises DomainError.  Such a stack always fails
+    the |det| test, so only the stacks sent to the SVD are checked; finite
+    stacks that overflow still give inf or 0.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, k = vectors.shape[-2], vectors.shape[-1]
@@ -115,7 +122,7 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     stacks = vectors.reshape(-1, m, k)
     volume = _square_volume(stacks)
     scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (k / 2.0)
-    # negated so that NaN and overflowed stacks also take the SVD path
+    # negated so that non-finite and overflowed stacks also take the SVD path
     unsure = ~(volume > 1e-13 * scale)
     if np.any(unsure):
         volume[unsure] = _svd_volume(stacks[unsure])
@@ -155,7 +162,9 @@ def estimate_A_d(d: int, sample_count: int, seed: SeedSpec) -> EstimatorReport:
     Averages the volume spanned by d random rows (U_i, Z_i, 1) in R^d with
     U_i uniform on [-1, 1] and Z_i beta-prime in R^(d-2) with parameter
     (d+1)/2.  Samples are drawn in fixed-size chunks on derived substreams,
-    so the result is identical under any worker partition.
+    so the result is identical under any worker partition.  A chunk's
+    volumes are computed in blocks of 2^16 stacks through one reused row
+    array, then summed over the whole chunk at once.
     """
     if d < 2:
         raise DomainError("estimate_A_d requires d >= 2")
@@ -168,10 +177,16 @@ def estimate_A_d(d: int, sample_count: int, seed: SeedSpec) -> EstimatorReport:
     while done < sample_count:
         m = min(_A_D_CHUNK, sample_count - done)
         rng = seed.substream("A_d", chunk_index).generator()
-        u = rng.uniform(-1.0, 1.0, (m, d, 1))
+        u = rng.uniform(-1.0, 1.0, (m, d))
         z = _beta_prime(rng, d - 2, (d + 1) / 2.0, m * d).reshape(m, d, d - 2)
-        rows = np.concatenate([u, z, np.ones((m, d, 1))], axis=2)
-        volumes = parallelotope_volume(rows)
+        # rows (u, z, 1) are written block by block; the last column stays 1
+        block = np.ones((min(_A_D_BLOCK, m), d, d))
+        volumes = np.empty(m)
+        for lo in range(0, m, _A_D_BLOCK):
+            rows = block[: min(_A_D_BLOCK, m - lo)]
+            rows[:, :, 0] = u[lo : lo + len(rows)]
+            rows[:, :, 1:-1] = z[lo : lo + len(rows)]
+            volumes[lo : lo + len(rows)] = parallelotope_volume(rows)
         sums.append(float(volumes.sum()))
         sq_sums.append(float(np.square(volumes).sum()))
         done += m

@@ -17,7 +17,6 @@ continuous models) are excluded from the facet set and flagged.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,10 +31,9 @@ SIGN_TOL = 1e-10
 _AMBIENT_CAP_HIGH_D = 120
 _SUBSET_CHUNK = 1 << 14
 _QHULL_FALLBACK_CAP = 60
-# Counterclockwise angular order, which _prune_interior relies on.
-_OCTAGON = np.array(
-    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], float
-)
+# Shewchuk's orient2d error bound (3 + 16 eps) eps, with eps = 2^-53
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT_UNDERFLOW = 2.0 ** -1070
 
 
 @dataclass(frozen=True)
@@ -121,16 +119,19 @@ def facets_ambient(cloud) -> FacetSet:
     return FacetSet(facets=frozenset(facets), vertex_count=vertex_count, degenerate_flag=degenerate)
 
 
-def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> int:
+def _orient(p, q, r) -> int:
     """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear.
 
-    Uses the float cross product when its magnitude is safely above the
-    rounding error, otherwise re-evaluates in exact rational arithmetic.
+    Uses the float cross product when its magnitude exceeds Shewchuk's static
+    error bound for this expression (DCG 1997: orient2d's errboundA), which
+    also covers the rounding of the coordinate differences; otherwise it
+    re-evaluates in exact rational arithmetic.  The tiny absolute term covers
+    products that underflow, where the relative bound does not hold.
     """
     t1 = (q[0] - p[0]) * (r[1] - p[1])
     t2 = (q[1] - p[1]) * (r[0] - p[0])
     det = t1 - t2
-    if abs(det) > 1e-12 * (abs(t1) + abs(t2)):
+    if abs(det) > _ORIENT_BOUND * (abs(t1) + abs(t2)) + _ORIENT_UNDERFLOW:
         return 1 if det > 0 else -1
     a = (Fraction(q[0]) - Fraction(p[0])) * (Fraction(r[1]) - Fraction(p[1]))
     b = (Fraction(q[1]) - Fraction(p[1])) * (Fraction(r[0]) - Fraction(p[0]))
@@ -139,27 +140,88 @@ def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> int:
 
 
 def _prune_interior(coords: np.ndarray) -> np.ndarray:
-    """Indices that survive a conservative extreme-octagon interior filter.
+    """Ascending indices of the points that may lie on the hull boundary.
 
-    The argmax points of the eight directions, taken in the directions'
-    counterclockwise order with cyclic repeats dropped, form a convex
-    polygon in counterclockwise order; a point left of every edge by a
-    margin lies strictly inside it and cannot be a hull vertex.
+    Stage one is the extreme-octagon filter (Akl & Toussaint, IPL 1978).
+    The argmax points of the directions (1,0), (1,1), (0,1), (-1,1) and
+    their negatives, taken in that counterclockwise order with cyclic
+    repeats dropped, form a convex polygon in counterclockwise order; a
+    point left of every edge by the margin lies strictly inside it.
+
+    Stage two runs quickhull passes (Eddy, ACM TOMS 1977; Barber, Dobkin &
+    Huhdanpaa, ACM TOMS 1996) on the survivors, all edges in one array pass
+    per round.  Each survivor clearly outside an edge joins the first such
+    edge; each edge takes its farthest point f, whose triangle (a, f, b) is
+    then tested, and the points clearly outside (a, f) or (f, b) go on to
+    the next round.
+
+    A point is dropped only when it lies left of every edge of the octagon
+    polygon, or of a triangle (a, f, b), by the margin.  Those vertices are
+    input points, so a dropped point is strictly inside the hull: hull
+    vertices and points on hull edges always survive, and points within the
+    margin of any edge stay candidates for the exact chain to decide.
     """
     n = coords.shape[0]
-    picks = [int(np.argmax(coords @ direction)) for direction in _OCTAGON]
+    x, y = np.array(coords.T, dtype=float, order="C")
+    rays = (x, x + y, y, y - x)
+    picks = [int(r.argmax()) for r in rays] + [int(r.argmin()) for r in rays]
     extremes = [i for k, i in enumerate(picks) if i != picks[k - 1]]
     if len(set(extremes)) < 3:
         return np.arange(n)
-    x, y = coords[:, 0], coords[:, 1]
-    margin = 1e-9 * (float(np.abs(coords).max()) or 1.0)
-    inside = np.ones(n, dtype=bool)
-    for a, b in zip(extremes, extremes[1:] + extremes[:1]):
-        ex, ey = coords[b] - coords[a]
-        cross = ex * (y - coords[a, 1]) - ey * (x - coords[a, 0])
-        inside &= cross > margin * math.hypot(ex, ey)
-    inside[extremes] = False
-    return np.flatnonzero(~inside)
+    # the largest |coordinate|, read off the extremes of x and y
+    scale = max(x[picks[0]], -x[picks[4]], y[picks[2]], -y[picks[6]])
+    margin = 1e-9 * (float(scale) or 1.0)
+    # Stage one, every edge at once: left = ex*y - ey*x - (ex*ay - ey*ax).
+    start = np.array(extremes)
+    end = np.array(extremes[1:] + extremes[:1])
+    ex, ey = x[end] - x[start], y[end] - y[start]
+    offset = ex * y[start] - ey * x[start]
+    slack = margin * np.hypot(ex, ey)
+    left = np.multiply.outer(ex, y)
+    left -= np.multiply.outer(ey, x)
+    survivors = (~(left > (offset + slack)[:, None]).all(axis=0)).nonzero()[0]
+    left = left[:, survivors] - offset[:, None]
+    outside = left < -slack[:, None]
+    keep = ~outside.any(axis=0)
+    live = (~keep).nonzero()[0]
+    if not live.size:
+        return survivors
+    # Stage two on survivor-local ids; each live point carries its edge (a, b).
+    owner = outside[:, live].argmax(axis=0)
+    depth = left[owner, live]
+    a = survivors.searchsorted(start)[owner]
+    b = survivors.searchsorted(end)[owner]
+    z = x[survivors] + 1j * y[survivors]
+    while True:
+        # group by edge, farthest (most negative depth) first
+        order = np.lexsort((depth, b, a))
+        live, a, b = live[order], a[order], b[order]
+        head = np.empty(live.size, dtype=bool)
+        head[0] = True
+        head[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        far = live[head]
+        keep[far] = True
+        f = far[head.cumsum() - 1]
+        rest = ~head
+        if not rest.any():
+            return survivors[keep]
+        live, a, b, f = live[rest], a[rest], b[rest], f[rest]
+        # the triangle (a, f, b) is counterclockwise; f becomes a vertex
+        p, za, zf = z[live], z[a], z[f]
+        d1, d2 = zf - za, z[b] - zf
+        s1 = (d1.conj() * (p - za)).imag
+        s2 = (d2.conj() * (p - zf)).imag
+        t1, t2 = margin * abs(d1), margin * abs(d2)
+        out1 = s1 < -t1
+        onward = out1 | (s2 < -t2)
+        keep[live[~onward & ~((s1 > t1) & (s2 > t2))]] = True
+        if not onward.any():
+            return survivors[keep]
+        live = live[onward]
+        out1 = out1[onward]
+        a = np.where(out1, a[onward], f[onward])
+        b = np.where(out1, f[onward], b[onward])
+        depth = np.where(out1, s1[onward], s2[onward])
 
 
 def _hull2d(coords: np.ndarray):
@@ -168,25 +230,28 @@ def _hull2d(coords: np.ndarray):
         return [(0, 1)], [0, 1], False
     candidates = _prune_interior(coords)
     sub = coords[candidates]
-    order = candidates[np.lexsort((sub[:, 1], sub[:, 0]))]
+    order = np.lexsort((sub[:, 1], sub[:, 0]))
+    ids = candidates[order].tolist()
+    # Python floats: scalar arithmetic on them is far cheaper than on numpy scalars
+    xy = sub[order].tolist()
     degenerate = False
 
     def build(sequence):
         nonlocal degenerate
         chain: list[int] = []
-        for idx in sequence:
+        for k in sequence:
             while len(chain) >= 2:
-                turn = _orient(coords[chain[-2]], coords[chain[-1]], coords[idx])
+                turn = _orient(xy[chain[-2]], xy[chain[-1]], xy[k])
                 if turn == 0:
                     degenerate = True
                 if turn > 0:
                     break
                 chain.pop()
-            chain.append(int(idx))
-        return chain
+            chain.append(k)
+        return [ids[k] for k in chain]
 
-    lower = build(order)
-    upper = build(order[::-1])
+    lower = build(range(len(ids)))
+    upper = build(range(len(ids) - 1, -1, -1))
     vertices = lower[:-1] + upper[:-1]
     if len(vertices) < 3:
         # all candidate points collinear (or coincident)

@@ -201,6 +201,31 @@ class TestSimulateCommand:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("5", "a config must be a JSON object, got int"),
+            ('"abc"', "a config must be a JSON object, got str"),
+            ("{\"model\": ", "is not valid JSON"),
+            (None, "cannot read config"),  # missing file
+            ("", "cannot read config"),  # a directory, not a file
+        ],
+        ids=["int", "string", "truncated", "missing", "directory"],
+    )
+    def test_unusable_config_file_exits_two(self, capsys, tmp_path, content, message):
+        cfg_path = tmp_path / "cfg.json"
+        if content == "":
+            cfg_path.mkdir()
+        elif content is not None:
+            cfg_path.write_text(content)
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "usage error:" in err and message in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_output_dir_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
         argv = [

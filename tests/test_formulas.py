@@ -8,7 +8,9 @@ from wedgehull import (
     AppendixReport,
     DomainError,
     EstimatorReport,
+    SeedSpec,
     appendix_f,
+    derive_stream,
     estimate_A_d,
     girard_area,
     i2_bounds,
@@ -187,10 +189,11 @@ class TestParallelotopeVolume:
         inf_entry[0, 1] = np.inf
         huge_scale = np.diag([1e160] + [1e-160] * (k - 1))  # |det| is finite, ||A||_F^k is not
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(DomainError, match="finite"):
                 parallelotope_volume(nan_entry)
             assert parallelotope_volume(1e200 * np.eye(k)) == np.inf
-            assert np.isnan(parallelotope_volume(inf_entry))
+            with pytest.raises(DomainError, match="finite"):
+                parallelotope_volume(inf_entry)
             assert parallelotope_volume(huge_scale) == 0.0
         assert sent == [1, 1, 1, 1]
 
@@ -244,6 +247,26 @@ class TestEstimateAd:
         for lo, hi in zip(ses[1:], ses[:-1]):
             ratio = hi / lo
             assert math.sqrt(10) / 1.2 <= ratio <= math.sqrt(10) * 1.2
+
+    @pytest.mark.parametrize(
+        "d, value", [(2, 0.6666223403010235), (3, 0.8761097191289803)]
+    )
+    def test_summary_constants_are_pinned(self, d, value):
+        seed = SeedSpec(20260815, derive_stream("constants", d))
+        assert estimate_A_d(d, 10**6, seed).value == value
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_blocks_match_one_concatenated_chunk(self, d):
+        # 70001 samples: one chunk, two whole blocks and a partial one
+        count = 70001
+        seed = make_seed("A", "blocks", d)
+        rng = seed.substream("A_d", 0).generator()
+        u = rng.uniform(-1.0, 1.0, (count, d, 1))
+        z = formulas._beta_prime(rng, d - 2, (d + 1) / 2.0, count * d)
+        rows = np.concatenate([u, z.reshape(count, d, d - 2), np.ones((count, d, 1))], axis=2)
+        volumes = parallelotope_volume(rows)
+        report = estimate_A_d(d, count, seed)
+        assert report.value == float(volumes.sum()) / count
 
     def test_guards(self):
         with pytest.raises(DomainError):

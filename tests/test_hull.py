@@ -1,13 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wedgehull.hull as hull
 
 from wedgehull import (
     DomainError,
     ResourceLimit,
     SampleCloud,
+    SeedSpec,
     WedgeModel,
     facets_ambient,
     facets_projected,
@@ -15,7 +21,7 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.hull import _hull2d, _prune_interior
+from wedgehull.hull import _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
 
@@ -35,6 +41,77 @@ def planar_coords(cloud):
 
 def qhull_vertices(coords):
     return set(scipy.spatial.ConvexHull(coords).vertices.tolist())
+
+
+def exact_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def exact_ring(coords):
+    """Hull corners, counterclockwise, from an unfiltered monotone chain in Fractions."""
+    points = sorted({(Fraction(x), Fraction(y)) for x, y in coords.tolist()})
+    if len(points) < 3:
+        return points
+
+    def half(sequence):
+        chain = []
+        for p in sequence:
+            while len(chain) >= 2 and exact_cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return half(points)[:-1] + half(points[::-1])[:-1]
+
+
+def strictly_inside(ring, point):
+    p = (Fraction(point[0]), Fraction(point[1]))
+    return len(ring) >= 3 and all(
+        exact_cross(ring[k - 1], ring[k], p) > 0 for k in range(len(ring))
+    )
+
+
+def octagon_extremes(coords):
+    x, y = coords[:, 0], coords[:, 1]
+    rays = (x, x + y, y, y - x)
+    picks = [int(r.argmax()) for r in rays] + [int(r.argmin()) for r in rays]
+    return [i for k, i in enumerate(picks) if i != picks[k - 1]]
+
+
+def assert_prune_sound(coords):
+    """Every dropped point is strictly inside the exact hull; the corners match."""
+    ring = exact_ring(coords)
+    kept = set(_prune_interior(coords).tolist())
+    for i in set(range(len(coords))) - kept:
+        assert strictly_inside(ring, coords[i]), f"point {i} dropped but not interior"
+    corners = {(Fraction(x), Fraction(y)) for x, y in coords[_hull2d(coords)[1]].tolist()}
+    assert corners == set(ring)
+    return kept
+
+
+# Integer corners near radius 1000 at multiples of 22.5 degrees.
+SIXTEEN_GON = np.array(
+    [(1000, 0), (924, 383), (707, 707), (383, 924), (0, 1000), (-383, 924), (-707, 707),
+     (-924, 383), (-1000, 0), (-924, -383), (-707, -707), (-383, -924), (0, -1000),
+     (383, -924), (707, -707), (924, -383)],
+    dtype=float,
+)
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Lattice-snapped clouds with duplicated points and a collinear run."""
+    side = draw(st.sampled_from([2, 6, 40, 2**20]))
+    coord = st.integers(-side, side)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=80))
+    points += draw(st.lists(st.sampled_from(points), max_size=10))
+    ox, oy, dx, dy = (draw(coord) for _ in range(4))
+    points += [(ox + t * dx, oy + t * dy) for t in range(draw(st.integers(0, 8)))]
+    if len(points) < 3:
+        points += [points[0]] * (3 - len(points))
+    order = draw(st.permutations(range(len(points))))
+    scale = 2.0 ** draw(st.integers(-40, 40))  # exact: ties stay ties
+    return np.array([points[i] for i in order], dtype=float) * scale
 
 
 class TestDualRouteEquivalence:
@@ -177,6 +254,97 @@ class TestPruneAtEverySize:
         assert a.facets == p.facets
         # the projected route sees the duplicate only if it survives the prune
         assert p.degenerate_flag == (inner in _prune_interior(planar_coords(cloud)))
+
+    @pytest.mark.parametrize("radius", [6, 40])
+    def test_lattice_disc_keeps_every_boundary_point(self, radius):
+        # Many hull vertices lie beyond the octagon, and lattice points on
+        # hull edges tie for the farthest point of the quickhull pass.
+        span = np.arange(-radius, radius + 1)
+        grid = np.array([(a, b) for a in span for b in span if a * a + b * b <= radius**2])
+        rng = np.random.default_rng(radius)
+        coords = rng.permutation(np.vstack([grid, grid[rng.integers(len(grid), size=20)]]))
+        coords = coords.astype(float)
+        kept = assert_prune_sound(coords)
+        ring = exact_ring(coords)
+        boundary = {
+            i for i, p in enumerate(coords.tolist()) if not strictly_inside(ring, p)
+        }
+        assert boundary <= kept
+        assert len(kept) < 2 * len(boundary)
+        assert len(set(ring)) > len(octagon_extremes(coords))
+        # points on hull edges and duplicated corners reach the chain
+        assert _hull2d(coords)[2] == (len(boundary) > len(ring))
+
+    def test_duplicate_on_hull_edge_found_by_quickhull(self):
+        # (815.5, 545) lies on the hull edge from (924, 383) to (707, 707),
+        # which only the quickhull pass finds: no octagon direction picks
+        # the 16-gon's odd corners.
+        rng = np.random.default_rng(3)
+        clutter = rng.uniform(-600.0, 600.0, (200, 2))
+        midpoint = (815.5, 545.0)
+        coords = np.vstack([SIXTEEN_GON, clutter, [midpoint, midpoint]])
+        assert sorted(set(octagon_extremes(coords))) == list(range(0, 16, 2))
+        kept = assert_prune_sound(coords)
+        assert kept == set(range(16)) | {len(coords) - 2, len(coords) - 1}
+        assert _hull2d(coords)[2]
+
+    def test_point_on_octagon_edge_stays_candidate(self):
+        # (853.5, 353.5) lies on the octagon's edge from (1000, 0) to
+        # (707, 707), but strictly inside the hull: (924, 383) lies beyond it.
+        coords = np.vstack([SIXTEEN_GON, [(853.5, 353.5), (1.0, 1.0)]])
+        kept = assert_prune_sound(coords)
+        assert kept == set(range(17))
+        assert not _hull2d(coords)[2]
+
+    def test_quickhull_engaged_on_large_cloud(self, wedge2):
+        # the octagon alone leaves 957 candidates for 19 hull vertices
+        cloud = sample_uniform_wedge(wedge2, SeedSpec(3, 131072), 131072)
+        coords = planar_coords(cloud)
+        vertices = _hull2d(coords)[1]
+        assert len(vertices) == 19
+        assert len(_prune_interior(coords)) <= 2 * len(vertices)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_clouds())
+    def test_dropped_points_are_strictly_inside(self, coords):
+        assert_prune_sound(coords)
+
+
+class TestOrient:
+    Q, R = (12.0, 12.0), (24.0, 24.0)
+
+    @pytest.mark.parametrize(
+        "px, py, ratio_range, float_sign_right, float_path",
+        [
+            # the float determinant has the wrong sign, inside the bound
+            ("0x1.00000000000f7p-1", "0x1.00000000000efp-1", (0.3, 0.33), False, False),
+            # right sign, but just inside the bound: not trusted
+            ("0x1.00000000000ffp-1", "0x1.0000000000097p-1", (0.9, 1.0), True, False),
+            # just outside the bound: trusted without Fractions
+            ("0x1.0000000000000p-1", "0x1.0000000000089p-1", (1.0, 1.3), True, True),
+        ],
+    )
+    def test_static_error_bound(
+        self, monkeypatch, px, py, ratio_range, float_sign_right, float_path
+    ):
+        p = (float.fromhex(px), float.fromhex(py))
+        q, r = self.Q, self.R
+        t1 = (q[0] - p[0]) * (r[1] - p[1])
+        t2 = (q[1] - p[1]) * (r[0] - p[0])
+        ratio = abs(t1 - t2) / (hull._ORIENT_BOUND * (abs(t1) + abs(t2)))
+        assert ratio_range[0] < ratio <= ratio_range[1]
+        exact = exact_cross(*[(Fraction(a), Fraction(b)) for a, b in (p, q, r)])
+        sign = (exact > 0) - (exact < 0)
+        assert (sign != 0) and ((t1 > t2) - (t1 < t2) == sign) == float_sign_right
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return Fraction(value)
+
+        monkeypatch.setattr(hull, "Fraction", spy)
+        assert _orient(p, q, r) == sign
+        assert bool(calls) != float_path
 
 
 class TestDegenerateDetection:
