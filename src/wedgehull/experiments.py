@@ -373,7 +373,10 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     """Weighted least squares of mean facet count against log(size)^log_power.
 
     Weights are reps/variance per grid value, so the slope standard error
-    propagates the replication noise of each mean.
+    propagates the replication noise of each mean.  The sqrt(w)-scaled system
+    is solved by QR, not through the normal matrix: a grid value whose
+    replicates all agree gets a weight near 1e12, which squares the normal
+    matrix's condition number past what double precision holds.
     """
     if log_power <= 0.0:
         raise FitError("regressor power must be positive")
@@ -392,14 +395,13 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     x = np.log(np.asarray(sizes, dtype=float)) ** log_power
     y = np.asarray(means, dtype=float)
     w = np.asarray(reps, dtype=float) / np.maximum(np.asarray(variances), _VARIANCE_FLOOR)
+    root = np.sqrt(w)
     design = np.column_stack([np.ones_like(x), x])
-    weighted = design * w[:, None]
-    normal = design.T @ weighted
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("singular design; grid values too clustered") from exc
-    params = cov @ (weighted.T @ y)
+    q, r = np.linalg.qr(design * root[:, None])
+    # r11 is the part of the regressor column not along the constant column
+    if not abs(r[1, 1]) > 1e-12 * np.linalg.norm(r[:, 1]):
+        raise FitError("singular design; grid values too clustered")
+    params = np.linalg.solve(r, q.T @ (root * y))
     intercept, slope = float(params[0]), float(params[1])
     residuals = y - design @ params
     rss = float(w @ residuals**2)
@@ -408,7 +410,8 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     r_squared = 1.0 - rss / tss if tss > 0 else 1.0
     return SlopeFit(
         slope=slope,
-        slope_std_error=float(math.sqrt(max(cov[1, 1], 0.0))),
+        # the covariance is inv(R) inv(R).T, whose slope entry is 1 / r11^2
+        slope_std_error=float(1.0 / abs(r[1, 1])),
         intercept=intercept,
         r_squared=r_squared,
         grid_points_used=tuple(sizes),

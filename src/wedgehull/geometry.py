@@ -32,6 +32,26 @@ CHART_TOL = 1e-12
 # Hard cap for Poisson cloud sizes and similar enumerations.
 MAX_POINTS = 10 ** 8
 
+# Rows per block of the per-point passes over a cloud (normalise, fold,
+# validate, project, prune).  Their scratch is then a few block-sized arrays
+# that stay in cache and are reused by malloc, instead of n-sized
+# temporaries that a fresh pool worker must page in on first touch.
+BLOCK_ROWS = 1 << 12
+
+
+def row_blocks(n: int) -> list:
+    """Slices of BLOCK_ROWS rows, in order, that cover n rows.
+
+    A lone last row joins the block before it (which then has BLOCK_ROWS + 1
+    rows): numpy evaluates a one-row matrix-vector product as a dot product,
+    whose rounding differs from the matrix-vector kernel that a whole-array
+    product uses for that row.
+    """
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 def omega(k: int) -> float:
     """Surface measure omega_k of S^(k-1), i.e. 2 pi^(k/2) / Gamma(k/2)."""

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, DomainError, ResourceLimit
-from .geometry import WedgeModel, gnomonic_project, orthonormal_complement
+from .geometry import WedgeModel, gnomonic_project, orthonormal_complement, row_blocks
 from .sampling import SampleCloud
 
 SIGN_TOL = 1e-10
@@ -139,6 +139,27 @@ def _orient(p, q, r) -> int:
     return (exact > 0) - (exact < 0)
 
 
+def _extreme_picks(x: np.ndarray, y: np.ndarray) -> list:
+    """First indices of the maxima of x, x + y, y, y - x, then of their minima.
+
+    Read block by block; a later block's extreme replaces an earlier one only
+    when strictly better, so ties keep the first index, as argmax does.
+    """
+    best = None
+    for rows in row_blocks(x.size):
+        bx, by = x[rows], y[rows]
+        rays = (bx, bx + by, by, by - bx)
+        highs = [int(r.argmax()) for r in rays]
+        lows = [int(r.argmin()) for r in rays]
+        found = [(float(r[i]), rows.start + i) for r, i in zip(rays, highs)]
+        found += [(-float(r[i]), rows.start + i) for r, i in zip(rays, lows)]
+        if best is None:
+            best = found
+        else:
+            best = [new if new[0] > old[0] else old for old, new in zip(best, found)]
+    return [i for _, i in best]
+
+
 def _prune_interior(coords: np.ndarray) -> np.ndarray:
     """Ascending indices of the points that may lie on the hull boundary.
 
@@ -162,25 +183,36 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
     margin of any edge stay candidates for the exact chain to decide.
     """
     n = coords.shape[0]
-    x, y = np.array(coords.T, dtype=float, order="C")
-    rays = (x, x + y, y, y - x)
-    picks = [int(r.argmax()) for r in rays] + [int(r.argmin()) for r in rays]
+    # no copy when coords is the transpose of contiguous x/y rows
+    x, y = np.ascontiguousarray(coords.T, dtype=float)
+    picks = _extreme_picks(x, y)
     extremes = [i for k, i in enumerate(picks) if i != picks[k - 1]]
     if len(set(extremes)) < 3:
         return np.arange(n)
     # the largest |coordinate|, read off the extremes of x and y
     scale = max(x[picks[0]], -x[picks[4]], y[picks[2]], -y[picks[6]])
     margin = 1e-9 * (float(scale) or 1.0)
-    # Stage one, every edge at once: left = ex*y - ey*x - (ex*ay - ey*ax).
+    # Stage one, every edge at once, block by block into reused scratch:
+    # left = ex*y - ey*x - (ex*ay - ey*ax); only the survivors' columns stay.
     start = np.array(extremes)
     end = np.array(extremes[1:] + extremes[:1])
     ex, ey = x[end] - x[start], y[end] - y[start]
     offset = ex * y[start] - ey * x[start]
     slack = margin * np.hypot(ex, ey)
-    left = np.multiply.outer(ex, y)
-    left -= np.multiply.outer(ey, x)
-    survivors = (~(left > (offset + slack)[:, None]).all(axis=0)).nonzero()[0]
-    left = left[:, survivors] - offset[:, None]
+    bound = (offset + slack)[:, None]
+    blocks = row_blocks(n)
+    scratch = np.empty((2, ex.size, max(rows.stop - rows.start for rows in blocks)))
+    kept_ids, kept_left = [], []
+    for rows in blocks:
+        bx, by = x[rows], y[rows]
+        block, cross = scratch[:, :, : bx.size]
+        np.multiply.outer(ex, by, out=block)
+        block -= np.multiply.outer(ey, bx, out=cross)
+        near = (~(block > bound).all(axis=0)).nonzero()[0]
+        kept_ids.append(near + rows.start)
+        kept_left.append(block[:, near])
+    survivors = np.concatenate(kept_ids)
+    left = np.concatenate(kept_left, axis=1) - offset[:, None]
     outside = left < -slack[:, None]
     keep = ~outside.any(axis=0)
     live = (~keep).nonzero()[0]
@@ -281,9 +313,15 @@ def facets_projected(cloud) -> FacetSet:
     if d >= 4:
         return facets_ambient(cloud)
     basis = orthonormal_complement(model.center)
-    tangent = gnomonic_project(model.center, points)
-    # column by column: matrix-vector products, no small-matrix BLAS call
-    coords = np.column_stack([tangent @ column for column in basis.T])
+    # Contiguous coordinate columns, written block by block; coords is their
+    # (n, d) transpose, so _prune_interior reads them without a copy.  One
+    # matrix-vector product per basis vector: no small-matrix BLAS call.
+    columns = np.empty((d, n))
+    for rows in row_blocks(n):
+        tangent = gnomonic_project(model.center, points[rows])
+        for axis, out in zip(basis.T, columns[:, rows]):
+            np.matmul(tangent, axis, out=out)
+    coords = columns.T
     if d == 2:
         edges, vertices, degenerate = _hull2d(coords)
         return FacetSet(

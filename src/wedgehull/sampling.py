@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, ResourceLimit, SamplerStalled
-from .geometry import MAX_POINTS, UNIT_NORM_TOL, WedgeModel, omega, wedge_contains
+from .geometry import (
+    MAX_POINTS,
+    UNIT_NORM_TOL,
+    WedgeModel,
+    omega,
+    row_blocks,
+    wedge_contains,
+)
 
 _U64 = 1 << 64
 _BATCH = 1 << 17
@@ -75,23 +82,38 @@ class SampleCloud:
 
     def validate(self) -> None:
         # Hard assertions, not statistical: membership and unit norm for 100%.
-        if len(self) == 0:
-            return
-        norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-            raise InternalError("sample cloud contains non-unit points")
-        if not np.all(wedge_contains(self.model, self.points)):
-            raise InternalError("sample cloud contains points outside the wedge")
+        # Written as not (... <= tol) so that NaN and inf rows count as non-unit.
+        for rows in row_blocks(len(self)):
+            block = self.points[rows]
+            norms = np.linalg.norm(block, axis=1)
+            if not np.max(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:
+                raise InternalError("sample cloud contains non-unit points")
+            if not np.all(wedge_contains(self.model, block)):
+                raise InternalError("sample cloud contains points outside the wedge")
 
 
 def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    # Normalises the one draw in place, block by block.  Rows whose norm
+    # underflows are redrawn afterwards, together and in index order, which
+    # is the order in which a whole-array pass would redraw them.
     x = rng.standard_normal((count, d + 1))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-300):  # never in practice; keeps the math airtight
-        bad = norms < 1e-300
-        x[bad] = rng.standard_normal((int(bad.sum()), d + 1))
-        norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
+    tiny = []
+    for rows in row_blocks(count):
+        block = x[rows]
+        norms = np.linalg.norm(block, axis=1)
+        small = norms < 1e-300
+        if small.any():  # never in practice; keeps the math airtight
+            tiny.extend(rows.start + np.flatnonzero(small))
+            norms[small] = 1.0
+        block /= norms[:, None]
+    bad = np.array(tiny, dtype=np.intp)
+    while bad.size:
+        fresh = rng.standard_normal((bad.size, d + 1))
+        norms = np.linalg.norm(fresh, axis=1)
+        good = norms >= 1e-300
+        x[bad[good]] = fresh[good] / norms[good, None]
+        bad = bad[~good]
+    return x
 
 
 def sample_uniform_sphere(d: int, seed: SeedSpec, count: int) -> np.ndarray:
@@ -105,16 +127,19 @@ def _fold_to_wedge(model: WedgeModel, points: np.ndarray) -> np.ndarray:
     # Reflect across each bounding hyperplane in turn; exact 2^j-to-1 and
     # measure preserving because the normals are mutually orthogonal.  For a
     # coordinate-axis normal the reflection is abs() of that column, which
-    # gives the same bits as the reflect-and-subtract below.
+    # gives the same bits as the reflect-and-subtract below, which runs block
+    # by block (each row is reflected on its own, so the bits do not change).
     for normal in model.normals:
         axis = np.flatnonzero(normal)
         if axis.size == 1 and normal[axis[0]] == 1.0:
             np.abs(points[:, axis[0]], out=points[:, axis[0]])
             continue
-        dots = points @ normal
-        neg = dots < 0.0
-        if np.any(neg):
-            points[neg] -= 2.0 * np.outer(dots[neg], normal)
+        for rows in row_blocks(len(points)):
+            block = points[rows]
+            dots = block @ normal
+            neg = dots < 0.0
+            if np.any(neg):
+                block[neg] -= 2.0 * np.outer(dots[neg], normal)
     return points
 
 

@@ -67,3 +67,32 @@ def test_suite_budgets_name_suite_parameters():
     for name, budget in budgets.items():
         parameters = inspect.signature(getattr(suites, f"suite_{name}")).parameters
         assert set(budget) <= set(parameters), name
+
+
+def test_blocked_passes_call_the_wrapped_public_names(monkeypatch):
+    # The tracer times projection and membership by rebinding
+    # `hull.gnomonic_project` and `sampling.wedge_contains`.  The blocked
+    # passes must still send every row through those names, or
+    # `geometry.project_s` and `geometry.contains_s` would read 0.
+    import wedgehull.hull as hull
+    import wedgehull.sampling as sampling
+    from wedgehull.geometry import BLOCK_ROWS, WedgeModel
+
+    rows = {"project": 0, "contains": 0}
+
+    def counting(key, func):
+        def call(model_or_center, points):
+            rows[key] += len(points)
+            return func(model_or_center, points)
+
+        return call
+
+    monkeypatch.setattr(hull, "gnomonic_project", counting("project", hull.gnomonic_project))
+    monkeypatch.setattr(sampling, "wedge_contains", counting("contains", sampling.wedge_contains))
+    n = 2 * BLOCK_ROWS + 5
+    cloud = sampling.sample_uniform_wedge(
+        WedgeModel.right_angle(2), sampling.SeedSpec(1, 2), n
+    )
+    assert rows["contains"] == n
+    hull.facets_projected(cloud)
+    assert rows["project"] == n

@@ -405,6 +405,30 @@ class TestAggregateAndFit:
         with pytest.raises(FitError):
             fit_slope(synthetic_records([1, 8, 16], [1, 2, 3]))
 
+    def test_zero_variance_grid_values_keep_r2_in_range(self):
+        # Two of the three grid values have replicates that all agree, so
+        # their weights sit on the 1e-12 variance floor.
+        cfg = ExperimentConfig(
+            model="halfsphere", d=2, grid=(16, 64, 256), reps=3, master_seed=0
+        )
+        records = run_experiment(cfg)
+        assert aggregate(records)[3].count(0.0) >= 1
+        fit = fit_slope(records)
+        assert 0.0 <= fit.r_squared <= 1.0
+
+    def test_linear_means_with_unequal_variances(self):
+        sizes = [4, 16, 64, 256, 1024]
+        spreads = [0.0, 0.5, 1.0, 2.0, 4.0]  # the first weight is reps / 1e-12
+        records = []
+        for size, spread in zip(sizes, spreads):
+            mean = 2.0 + 3.0 * math.log(size)
+            for sign in (1.0, -1.0):
+                records += synthetic_records([size], [mean + sign * spread], reps=1)
+        fit = fit_slope(records)
+        assert fit.slope == pytest.approx(3.0, rel=1e-12)
+        assert fit.intercept == pytest.approx(2.0, rel=1e-10)
+        assert 0.0 <= fit.r_squared <= 1.0
+
     def test_slope_error_matches_bootstrap(self):
         cfg = ExperimentConfig(
             model="binomial",

@@ -25,33 +25,33 @@ GOLDEN = {
     "binomial_d2": (
         dict(model="binomial", d=2, grid=(16, 600, 4096), reps=4),
         "cdf14e40c95ab0073a2c1a22a21864fb",
-        "74162806604a0b537c1d79456ed4c464",
+        "9c74fb9f86a8a579e9801ec46bae643a",
     ),
     "binomial_d3": (
         dict(model="binomial", d=3, grid=(16, 256, 1024), reps=3),
         "6626e67ef01358c1ab52249cca5c1c63",
-        "451040ad2ce682b1f3c33a711a588bab",
+        "69bda9861c1e8c9370a3183e7a11a55c",
     ),
     "halfsphere_d2": (
         dict(model="halfsphere", d=2, grid=(16, 600, 2048), reps=3),
         "9f218e9a7d2acbda2452e1f4745faf77",
         # no constants block: the plateau law reads no A_d
-        "5cec2ce8bac4b7c68939b7b261a16740",
+        "1be184a0efb0ef7d55f8ff2b43915c28",
     ),
     "poisson_d2": (
         dict(model="poisson", d=2, grid=(10.0, 200.0, 1000.0), reps=3),
         "20e7bd7814a5964f1da958f3b432b3b6",
-        "1295f1119fa1754116408a52a9222d0c",
+        "1149189eb014f9ec7d334fd333ef10f0",
     ),
     "polygon_ell5": (
         dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3, ell=5),
         "6a5029f791f8e08e88f356c327dc4037",
-        "72267de06504377de0ddd43614e84c71",
+        "2fcc40bba248b5bc7cdb05f3ec490693",
     ),
     "polygon_default": (
         dict(model="polygon_baseline", d=2, grid=(16, 600, 2048), reps=3),
         "68269ed18c29e3fee3f2309e709451ed",
-        "2b5de2b0af72d5a14a492d0a93813b1c",
+        "b908ffb1b5562fedbb6a84a8663901c0",
     ),
     "probe_rotated_j2": (
         dict(
@@ -63,7 +63,7 @@ GOLDEN = {
             normals=((_S, _S, 0.0), (0.0, 0.0, 1.0)),
         ),
         "1c9d0a76e75f9ad68bd332f54b724232",
-        "7d35096b22d6fe7d6860581da66da06a",
+        "b772b7c3e35d8cc81b223efd944eb053",
     ),
 }
 

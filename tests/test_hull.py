@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
+from wedgehull.geometry import BLOCK_ROWS
 from wedgehull.hull import _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
@@ -429,3 +431,86 @@ class TestResourceAndInputGuards:
         cloud = cloud_of(wedge3, ("tiny3",), 4)
         fs = facets_projected(cloud)
         assert fs.facet_count == 4
+
+
+B = BLOCK_ROWS
+
+
+def _one_block(n):
+    return [slice(0, n)]
+
+
+class TestBlockBoundaries:
+    """Block-by-block projection and prune against one whole-array block."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("which", ["right_angle", "half_sphere", "rotated"])
+    def test_facets_match_one_block(self, monkeypatch, n, which, seed):
+        s = 1.0 / math.sqrt(2.0)
+        model = {
+            "right_angle": WedgeModel.right_angle(2),
+            "half_sphere": WedgeModel.half_sphere(2),
+            "rotated": WedgeModel.from_normals(2, ((s, s, 0.0), (0.0, 0.0, 1.0))),
+        }[which]
+        cloud = cloud_of(model, ("blocks", which, n, seed), n)
+        seen = []
+        chain = hull._hull2d
+
+        def spy(coords):
+            seen.append((np.array(coords), _prune_interior(coords)))
+            return chain(coords)
+
+        monkeypatch.setattr(hull, "_hull2d", spy)
+        blocked = facets_projected(cloud)
+        monkeypatch.setattr(hull, "row_blocks", _one_block)
+        whole = facets_projected(cloud)
+        (coords, kept), (coords_ref, kept_ref) = seen
+        assert np.array_equal(coords.view(np.uint64), coords_ref.view(np.uint64))
+        assert np.array_equal(kept, kept_ref)
+        assert blocked == whole
+
+    def test_vertex_only_in_last_partial_block_is_kept(self):
+        rng = np.random.default_rng(8)
+        inner = 2 * B + 2
+        radius = 0.9 * np.sqrt(rng.random(inner))
+        angle = rng.uniform(0.0, 2.0 * np.pi, inner)
+        ring = 0.1 + np.arange(16) * (2.0 * np.pi / 16)
+        coords = np.concatenate(
+            [
+                np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]),
+                np.column_stack([np.cos(ring), np.sin(ring)]),
+            ]
+        )
+        corners = set(range(inner, inner + 16))
+        assert corners == qhull_vertices(coords)
+        assert corners <= set(_prune_interior(coords).tolist())
+        edges, vertices, degenerate = _hull2d(coords)
+        assert set(vertices) == corners and len(edges) == 16 and not degenerate
+
+    def test_extreme_ties_across_blocks_keep_first_index(self):
+        n = 3 * B + 2
+        x, y = np.zeros(n), np.zeros(n)
+        x[[B - 1, B, 2 * B + 1]] = 5.0  # max x tied across blocks 0, 1 and 2
+        y[[B, 2 * B, n - 1]] = -7.0  # min y tied across blocks 1 and 2
+        picks = hull._extreme_picks(x, y)
+        assert picks[0] == B - 1 and picks[6] == B
+        rng = np.random.default_rng(9)
+        for side in (1, 3):
+            x, y = np.round(rng.uniform(-side, side, (2, n)))
+            rays = (x, x + y, y, y - x)
+            whole = [int(r.argmax()) for r in rays] + [int(r.argmin()) for r in rays]
+            assert hull._extreme_picks(x, y) == whole
+
+    def test_projection_allocates_only_the_columns(self, wedge2):
+        # Peak traced allocation of the planar route on 2^17 points: the
+        # 2 MiB of x/y columns plus block-sized scratch (17.0 MiB with the
+        # whole-array projection and k x n edge test).
+        cloud = cloud_of(wedge2, ("peak",), 1 << 17)
+        tracemalloc.start()
+        try:
+            facets_projected(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 << 20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import scipy.stats
 import wedgehull.sampling as sampling
 from wedgehull import (
     DomainError,
+    InternalError,
     ResourceLimit,
+    SampleCloud,
     SamplerStalled,
     SeedSpec,
     WedgeModel,
@@ -17,6 +20,7 @@ from wedgehull import (
     sample_uniform_sphere,
     sample_uniform_wedge,
 )
+from wedgehull.geometry import BLOCK_ROWS, row_blocks
 
 from .conftest import make_seed
 
@@ -234,3 +238,112 @@ class TestBetaPrime:
         a = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)
         b = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)
         assert np.array_equal(a, b)
+
+
+B = BLOCK_ROWS
+
+
+class _ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns scripted arrays in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw.copy()
+
+
+def _whole_array_unit_sphere(rng, d, count):
+    # The unblocked pass: normalise the whole draw, redrawing tiny rows first.
+    x = rng.standard_normal((count, d + 1))
+    norms = np.linalg.norm(x, axis=1)
+    while np.any(norms < 1e-300):
+        bad = norms < 1e-300
+        x[bad] = rng.standard_normal((int(bad.sum()), d + 1))
+        norms = np.linalg.norm(x, axis=1)
+    return x / norms[:, None]
+
+
+class TestBlockedPasses:
+    """Block-by-block passes give the bits of one whole-array pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_sphere_is_one_normalised_draw(self, n, d):
+        got = sampling._unit_sphere(make_seed("blocks", n, d).generator(), d, n)
+        x = make_seed("blocks", n, d).generator().standard_normal((n, d + 1))
+        want = x / np.linalg.norm(x, axis=1)[:, None]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_tiny_rows_are_redrawn_in_index_order(self):
+        d, n = 2, 2 * B + 3
+        rng = np.random.default_rng(11)
+        first = rng.standard_normal((n, d + 1))
+        first[[5, B + 1, 2 * B + 2]] = 0.0
+        second = rng.standard_normal((3, d + 1))
+        second[1] = 1e-310  # still tiny: drawn again on its own
+        third = rng.standard_normal((1, d + 1))
+        draws = (first, second, third)
+        blocked = _ScriptedNormals(draws)
+        reference = _ScriptedNormals(draws)
+        got = sampling._unit_sphere(blocked, d, n)
+        want = _whole_array_unit_sphere(reference, d, n)
+        assert blocked.shapes == reference.shapes == [(n, d + 1), (3, d + 1), (1, d + 1)]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_general_normal_fold_is_one_whole_array_pass(self):
+        s = 1.0 / math.sqrt(2.0)
+        model = WedgeModel.from_normals(2, ((s, s, 0.0), (0.0, 0.0, 1.0)))
+        for n in (B + 1, 2 * B + 1, 2 * B + 2):
+            points = sample_uniform_sphere(2, make_seed("general_fold", n), n)
+            reference = points.copy()
+            for normal in model.normals:
+                dots = reference @ normal
+                neg = dots < 0.0
+                reference[neg] -= 2.0 * np.outer(dots[neg], normal)
+            folded = sampling._fold_to_wedge(model, points)
+            assert np.array_equal(folded.view(np.uint64), reference.view(np.uint64))
+
+    def test_row_blocks_never_end_on_a_lone_row(self):
+        for n in (0, 1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 5 * B + 1):
+            blocks = row_blocks(n)
+            assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+            assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
+            assert all(rows.stop - rows.start <= B + 1 for rows in blocks)
+
+    @pytest.mark.parametrize("n", [B + 1, 2 * B + 1, 2 * B + 5])
+    def test_validate_sees_the_last_block(self, wedge2, n):
+        points = sample_uniform_wedge(wedge2, make_seed("last_block", n), n).points
+        off_sphere = points.copy()
+        off_sphere[-1] *= 1.0 + 1e-9
+        with pytest.raises(InternalError, match="non-unit"):
+            SampleCloud(wedge2, off_sphere)
+        outside = points.copy()
+        outside[-1, 2] = -outside[-1, 2] - 1e-6
+        outside[-1] /= np.linalg.norm(outside[-1])
+        with pytest.raises(InternalError, match="outside the wedge"):
+            SampleCloud(wedge2, outside)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_named_non_unit(self, wedge2, bad):
+        points = sample_uniform_wedge(wedge2, make_seed("non_finite"), 50).points
+        points[17, 0] = bad
+        with pytest.raises(InternalError, match="non-unit"):
+            SampleCloud(wedge2, points)
+
+    def test_sampling_allocates_only_the_points(self, wedge2):
+        # Peak traced allocation of one 2^17-point draw: the 3 MiB of points
+        # plus block-sized scratch (8.0 MiB with whole-array temporaries).
+        n = 1 << 17
+        tracemalloc.start()
+        try:
+            cloud = sample_uniform_wedge(wedge2, make_seed("peak"), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.points.nbytes == 3 << 20
+        assert peak <= 4 << 20
