@@ -167,7 +167,10 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
     The argmax points of the directions (1,0), (1,1), (0,1), (-1,1) and
     their negatives, taken in that counterclockwise order with cyclic
     repeats dropped, form a convex polygon in counterclockwise order; a
-    point left of every edge by the margin lies strictly inside it.
+    point left of every edge by the margin lies strictly inside it.  Two
+    distinct extremes (a heavy-tailed strip) give the segment between them,
+    taken both ways: stage one then drops nothing, and stage two starts
+    from those two edges.
 
     Stage two runs quickhull passes (Eddy, ACM TOMS 1977; Barber, Dobkin &
     Huhdanpaa, ACM TOMS 1996) on the survivors, all edges in one array pass
@@ -187,7 +190,7 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
     x, y = np.ascontiguousarray(coords.T, dtype=float)
     picks = _extreme_picks(x, y)
     extremes = [i for k, i in enumerate(picks) if i != picks[k - 1]]
-    if len(set(extremes)) < 3:
+    if len(set(extremes)) < 2:
         return np.arange(n)
     # the largest |coordinate|, read off the extremes of x and y
     scale = max(x[picks[0]], -x[picks[4]], y[picks[2]], -y[picks[6]])

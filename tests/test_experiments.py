@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -548,3 +549,65 @@ class TestPersistence:
         assert a.read_bytes() == b.read_bytes()
         parsed = json.loads(a.read_text())
         assert parsed["grid"] == [8, 16, 32]
+
+
+POOL_CONFIGS = {
+    "binomial": dict(model="binomial", d=2, grid=(16, 64, 256), reps=3),
+    "poisson": dict(model="poisson", d=2, grid=(10.0, 40.0, 160.0), reps=3),
+    "probe": dict(
+        model="conjecture_probe",
+        d=2,
+        j=2,
+        grid=(16, 64, 256),
+        reps=3,
+        normals=((_S, _S, 0.0), (0.0, 0.0, 1.0)),
+    ),
+}
+
+
+class TestConstantsOnThePool:
+    @pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
+    def test_summary_bytes_match_at_any_worker_count(self, name):
+        cfg = ExperimentConfig(master_seed=SEED, **POOL_CONFIGS[name])
+        serial = json.dumps(summarize(cfg, run_experiment(cfg)))
+        records = run_experiment(cfg, workers=2)
+        pooled = json.dumps(summarize(cfg, records))
+        # the same records as a plain list, with no run's constants block
+        alone = json.dumps(summarize(cfg, list(records)))
+        assert pooled == serial == alone
+        # the pool's block is for 10^6 samples; another count computes its own
+        small = summarize(cfg, records, constants_samples=10**4)
+        assert small == summarize(cfg, list(records), constants_samples=10**4) != pooled
+
+    @pytest.mark.parametrize("workers, calls", [(1, 1), (2, 0)])
+    def test_parent_estimates_only_without_a_pool(self, monkeypatch, workers, calls):
+        seen = []
+        real = experiments.estimate_A_d
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "estimate_A_d", counting)
+        cfg = binomial_cfg()
+        summary = summarize(cfg, run_experiment(cfg, workers=workers))
+        assert len(seen) == calls
+        assert set(summary["constants"]) == {"A_d", "A_d_se", "c_d2_theory"}
+
+    def test_failed_pool_estimate_raises_from_summarize(self, monkeypatch):
+        parent, real = os.getpid(), experiments.estimate_A_d
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise DomainError("constants estimate failed")
+            return real(*args)
+
+        # patched before the pool forks, so the workers run the failing estimate
+        monkeypatch.setattr(experiments, "estimate_A_d", failing_in_workers)
+        cfg = binomial_cfg()
+        records = run_experiment(cfg, workers=2)
+        with pytest.raises(DomainError, match="constants estimate failed"):
+            summarize(cfg, records)
+        # a model without a constants block submits no estimate
+        half = binomial_cfg(model="halfsphere")
+        assert "constants" not in summarize(half, run_experiment(half, workers=2))

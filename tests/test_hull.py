@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wedgehull.hull as hull
@@ -306,6 +306,19 @@ class TestPruneAtEverySize:
         assert len(vertices) == 19
         assert len(_prune_interior(coords)) <= 2 * len(vertices)
 
+    def test_two_extremes_start_the_quickhull_passes(self):
+        # On the rotated j = 2 probe the projected cloud is a heavy-tailed
+        # strip, and two far points win all eight octagon directions.  The
+        # segment between them, taken both ways, starts the quickhull passes.
+        s = 1.0 / math.sqrt(2.0)
+        model = WedgeModel.from_normals(2, [(s, s, 0.0), (0.0, 0.0, 1.0)])
+        coords = planar_coords(sample_uniform_wedge(model, SeedSpec(0, 4097), 4097))
+        assert len(set(octagon_extremes(coords))) == 2
+        ring = exact_ring(coords)
+        assert len(_prune_interior(coords)) <= 2 * len(ring) < 40
+        corners = [(Fraction(x), Fraction(y)) for x, y in coords[_hull2d(coords)[1]].tolist()]
+        assert set(corners) == set(ring) and len(corners) == len(ring)
+
     @settings(max_examples=300, deadline=None)
     @given(lattice_clouds())
     def test_dropped_points_are_strictly_inside(self, coords):
@@ -370,6 +383,75 @@ class TestDegenerateDetection:
         c /= np.linalg.norm(c)
         cloud = manual_cloud(wedge3, np.vstack([base, c]))
         assert facets_ambient(cloud).degenerate_flag
+
+
+def _unit_rows(rows):
+    points = np.array(rows, dtype=float)
+    return points / np.linalg.norm(points, axis=1)[:, None]
+
+
+@st.composite
+def rim_clouds(draw):
+    """Wedge clouds at d = 2 or 3 with the ties that a sampled cloud never has.
+
+    Points on a lattice of gnomonic coordinates about the wedge center, with
+    step 1/side; the last coordinate spans the wedge's strip [-1, 1], whose
+    ends lie on the bounding great circles up to rounding.  Points with one
+    normal's coordinate exactly 0, on that bounding great circle.  Repeats
+    of earlier points.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    model = WedgeModel.right_angle(d)
+    basis = orthonormal_complement(model.center)
+    side = draw(st.sampled_from([1, 2, 4, 8]))
+    free, strip = st.integers(-3 * side, 3 * side), st.integers(-side, side)
+    tick = st.tuples(*[free] * (d - 1), strip)
+    ticks = draw(st.lists(tick, min_size=d + 1, max_size=28 - 5 * d))
+    rows = [model.center + basis @ (np.array(t, dtype=float) / side) for t in ticks]
+    for axis in draw(st.lists(st.sampled_from([d - 1, d]), max_size=5)):
+        point = np.array(draw(st.tuples(*[st.integers(-4, 4)] * (d + 1))), dtype=float)
+        point[axis] = 0.0
+        point[2 * d - 1 - axis] = abs(point[2 * d - 1 - axis]) + 1.0  # inside the other half
+        rows.append(point)
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    order = draw(st.permutations(range(len(rows))))
+    return manual_cloud(model, _unit_rows([rows[i] for i in order]))
+
+
+# Three points on the bounding great circle x_1 = 0: the ambient scan sees
+# the exact zero and flags, while the projected chain turns on rounding.
+RIM_TRIPLE = manual_cloud(
+    WedgeModel.right_angle(2), _unit_rows([(0, 1, 1), (0, 0, 1), (1, 0, 1), (2, 0, 3)])
+)
+# A repeated hull vertex: Qhull keeps one copy and reports no coplanar point.
+REPEATED_VERTEX = manual_cloud(
+    WedgeModel.right_angle(3),
+    _unit_rows([(0, 0, 1, 1), (math.sqrt(2), 0, 1, 1), (0, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]),
+)
+
+
+class TestDualRouteOnRimClouds:
+    @settings(max_examples=300, deadline=None)
+    @given(rim_clouds())
+    def test_no_silent_disagreement(self, cloud):
+        a = facets_ambient(cloud)
+        p = facets_projected(cloud)
+        assert a.facets == p.facets or a.degenerate_flag or p.degenerate_flag
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the projected route can miss a tie that the ambient scan flags "
+        "(FOUND in CHANGES.md)",
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(RIM_TRIPLE)
+    @example(REPEATED_VERTEX)
+    @given(rim_clouds())
+    def test_routes_agree_or_both_flag(self, cloud):
+        a = facets_ambient(cloud)
+        p = facets_projected(cloud)
+        assert a.facets == p.facets or (a.degenerate_flag and p.degenerate_flag)
 
 
 class TestInvariances:

@@ -347,3 +347,16 @@ class TestBlockedPasses:
             tracemalloc.stop()
         assert cloud.points.nbytes == 3 << 20
         assert peak <= 4 << 20
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("rows", [1, 4097])
+    def test_bit_equal_to_linalg_norm(self, rows):
+        rng = np.random.default_rng(rows)
+        # 129 and 200 columns take numpy's split above 128 terms
+        for cols in list(range(1, 21)) + [129, 200]:
+            scale = rng.choice([1e-150, 1.0, 1e150], size=(rows, cols))
+            block = rng.standard_normal((rows, cols)) * scale
+            expected = np.linalg.norm(block, axis=1)
+            got = sampling._row_norms(block)
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), cols
