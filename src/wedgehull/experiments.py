@@ -78,11 +78,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(name: str, values) -> tuple:
+def _numbers(name: str, values, counts: bool) -> tuple:
     if not isinstance(values, (list, tuple)) or not all(
         _is_int(v) or (isinstance(v, float) and math.isfinite(v)) for v in values
     ):
         raise DomainError(f"{name} must be a list of finite numbers, got {values!r}")
+    if counts:  # a point count is one sweep (hash, streams) however spelled: 8.0 is 8
+        return tuple(int(v) if float(v).is_integer() else v for v in values)
     return tuple(values)
 
 
@@ -120,18 +122,19 @@ class ExperimentConfig:
             object.__setattr__(self, "j", self.ell)
         elif spec.j != "j":
             object.__setattr__(self, "j", spec.j)
-        grid = _numbers("grid", self.grid)
+        counts = spec.kind != "poisson"
+        grid = _numbers("grid", self.grid, counts)
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
-        if spec.kind != "poisson" and not all(float(g).is_integer() for g in grid):
+        if counts and not all(_is_int(g) for g in grid):
             raise DomainError(f"{self.model} grid values are point counts and must be whole")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise DomainError("master_seed must fit in 64 bits")
         if self.fit_window is not None:
-            window = _numbers("fit_window", self.fit_window)
+            window = _numbers("fit_window", self.fit_window, counts)
             object.__setattr__(self, "fit_window", window)
             if not set(window) <= set(grid):
                 raise DomainError("fit_window must be a subset of the grid")
@@ -152,7 +155,7 @@ class ExperimentConfig:
                 raise DomainError(f"normals must be {shape}") from exc
             if normals.shape != (self.j, self.d + 1):
                 raise DomainError(f"normals must be {shape}, got shape {normals.shape}")
-            # the model every task builds, checked once before any output exists
+            # the model the sweep builds, checked once before any output exists
             _build_model(self.d, self.j, normals)
             object.__setattr__(self, "normals", tuple(map(tuple, normals.tolist())))
         if MODEL_SPECS[_runs_as(self)].floored and grid[0] < self.d + 1:
@@ -270,20 +273,19 @@ def _sample_polygon(ell: int, n: int, seed: SeedSpec) -> np.ndarray:
     return (r1 * (1.0 - r2))[:, None] * a + (r1 * r2)[:, None] * b
 
 
-def _count_facets(kind: str, d: int, j: int, normals, size, seed: SeedSpec):
+def _count_facets(kind: str, model, j: int, size, seed: SeedSpec):
     """(facets, vertices) of one cloud; DegenerateInput asks for a fresh draw."""
     if kind == "polygon":
         edges, vertices, degenerate = _hull2d(_sample_polygon(j, int(size), seed))
         if degenerate:
             raise DegenerateInput(f"degenerate planar hull at n={size}")
         return len(edges), len(vertices)
-    model = _build_model(d, j, normals)
     if kind == "poisson":
         cloud = sample_poisson_wedge(model, float(size), seed)
     else:
         cloud = sample_uniform_wedge(model, seed, int(size))
     n_points = cloud.points.shape[0]
-    if n_points < d + 1:
+    if n_points < model.d + 1:
         # too few points to span any facet; every point is extreme
         return 0, n_points
     facet_set = facets_projected(cloud)
@@ -293,34 +295,26 @@ def _count_facets(kind: str, d: int, j: int, normals, size, seed: SeedSpec):
 
 
 def _execute_task(payload: dict) -> RunRecord:
-    record_model = payload["record_model"]
-    kind = payload["kind"]
-    d = payload["d"]
-    j = payload["j"]
     size = payload["size"]
     rep = payload["rep"]
-    master_seed = payload["master_seed"]
-    normals = payload["normals"]
-    token = _normals_token(normals)
     last_error = None
     for attempt in range(MAX_RETRIES + 1):
-        if kind == "polygon":
-            stream_id = derive_stream("polygon", d, j, size, rep, attempt)
-        else:
-            stream_id = derive_stream(kind, d, j, token, size, rep, attempt)
-        seed = SeedSpec(master_seed, stream_id)
+        stream_id = derive_stream(*payload["stream_key"], size, rep, attempt)
+        seed = SeedSpec(payload["master_seed"], stream_id)
         start = time.perf_counter()
         try:
-            facet_count, vertex_count = _count_facets(kind, d, j, normals, size, seed)
+            facet_count, vertex_count = _count_facets(
+                payload["kind"], payload["model"], payload["j"], size, seed
+            )
         except DegenerateInput as exc:
             last_error = exc
             continue
         wall = (time.perf_counter() - start) * 1000.0
         return RunRecord(
             config_hash=payload["config_hash"],
-            model=record_model,
-            d=d,
-            j=j,
+            model=payload["record_model"],
+            d=payload["d"],
+            j=payload["j"],
             size_param=size,
             rep_index=rep,
             facet_count=facet_count,
@@ -344,17 +338,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     """
     record_model = _runs_as(cfg)
     digest = config_hash(replace(cfg, model=record_model))
+    kind = MODEL_SPECS[record_model].kind
+    # one wedge (and so one projection basis) per sweep; a polygon has none
+    model = None if kind == "polygon" else _build_model(cfg.d, cfg.j, cfg.normals)
+    token = () if kind == "polygon" else (_normals_token(cfg.normals),)
     payloads = [
         {
             "config_hash": digest,
             "record_model": record_model,
-            "kind": MODEL_SPECS[record_model].kind,
+            "kind": kind,
             "d": cfg.d,
             "j": cfg.j,
             "size": size,
             "rep": rep,
             "master_seed": cfg.master_seed,
-            "normals": cfg.normals,
+            "model": model,
+            "stream_key": (kind, cfg.d, cfg.j, *token),
         }
         for size in cfg.grid
         for rep in range(cfg.reps)

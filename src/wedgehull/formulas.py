@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InequalityViolation, InternalError
-from .geometry import omega
+from .geometry import BLOCK_ROWS, omega, row_blocks
 from .sampling import SeedSpec, _beta_prime
 
+# Samples per substream of estimate_A_d: it fixes which draws each sample
+# takes, so changing it changes the estimate's bits.
 _A_D_CHUNK = 1 << 20
-_A_D_BLOCK = 1 << 16
 
 
 def wedge_measure(d: int, j: int = 2) -> float:
@@ -163,7 +164,7 @@ def estimate_A_d(d: int, sample_count: int, seed: SeedSpec) -> EstimatorReport:
     U_i uniform on [-1, 1] and Z_i beta-prime in R^(d-2) with parameter
     (d+1)/2.  Samples are drawn in fixed-size chunks on derived substreams,
     so the result is identical under any worker partition.  A chunk's
-    volumes are computed in blocks of 2^16 stacks through one reused row
+    volumes are computed over geometry.row_blocks through one reused row
     array, then summed over the whole chunk at once.
     """
     if d < 2:
@@ -180,13 +181,13 @@ def estimate_A_d(d: int, sample_count: int, seed: SeedSpec) -> EstimatorReport:
         u = rng.uniform(-1.0, 1.0, (m, d))
         z = _beta_prime(rng, d - 2, (d + 1) / 2.0, m * d).reshape(m, d, d - 2)
         # rows (u, z, 1) are written block by block; the last column stays 1
-        block = np.ones((min(_A_D_BLOCK, m), d, d))
+        block = np.ones((BLOCK_ROWS + 1, d, d))
         volumes = np.empty(m)
-        for lo in range(0, m, _A_D_BLOCK):
-            rows = block[: min(_A_D_BLOCK, m - lo)]
-            rows[:, :, 0] = u[lo : lo + len(rows)]
-            rows[:, :, 1:-1] = z[lo : lo + len(rows)]
-            volumes[lo : lo + len(rows)] = parallelotope_volume(rows)
+        for rows in row_blocks(m):
+            stacks = block[: rows.stop - rows.start]
+            stacks[:, :, 0] = u[rows]
+            stacks[:, :, 1:-1] = z[rows]
+            volumes[rows] = parallelotope_volume(stacks)
         sums.append(float(volumes.sum()))
         sq_sums.append(float(np.square(volumes).sum()))
         done += m

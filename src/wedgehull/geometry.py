@@ -18,7 +18,7 @@ map; the chart covers the closure phi in [0, pi], psi in [0, pi/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,13 +105,15 @@ class WedgeModel:
 
     The center is a unit vector with strictly positive inner product with
     every normal; it doubles as the gnomonic projection pole, so all wedge
-    points lie in its open half-sphere almost surely.
+    points lie in its open half-sphere almost surely.  basis is the
+    orthonormal complement of the center, the projection's tangent frame.
     """
 
     d: int
     j: int
     normals: np.ndarray
     center: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -130,6 +132,7 @@ class WedgeModel:
             raise DomainError("j=2 requires orthogonal normals (right angle)")
         if np.any(self.normals @ self.center <= UNIT_NORM_TOL):
             raise DomainError("center must have positive inner product with every normal")
+        self.basis = orthonormal_complement(self.center)
 
     @classmethod
     def right_angle(cls, d: int) -> "WedgeModel":

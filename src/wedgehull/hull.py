@@ -24,12 +24,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, DomainError, ResourceLimit
-from .geometry import WedgeModel, gnomonic_project, orthonormal_complement, row_blocks
+from .geometry import BLOCK_ROWS, WedgeModel, gnomonic_project, row_blocks
 from .sampling import SampleCloud
 
 SIGN_TOL = 1e-10
 _AMBIENT_CAP_HIGH_D = 120
-_SUBSET_CHUNK = 1 << 14
 _QHULL_FALLBACK_CAP = 60
 # Shewchuk's orient2d error bound (3 + 16 eps) eps, with eps = 2^-53
 _ORIENT_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
@@ -63,7 +62,7 @@ def _subset_batches(n: int, d: int):
     combos = itertools.combinations(range(n), d)
     while True:
         flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)),
+            itertools.chain.from_iterable(itertools.islice(combos, BLOCK_ROWS)),
             dtype=np.int64,
         )
         if flat.size == 0:
@@ -315,14 +314,13 @@ def facets_projected(cloud) -> FacetSet:
         raise DomainError(f"need at least d={d} points, got {n}")
     if d >= 4:
         return facets_ambient(cloud)
-    basis = orthonormal_complement(model.center)
     # Contiguous coordinate columns, written block by block; coords is their
     # (n, d) transpose, so _prune_interior reads them without a copy.  One
     # matrix-vector product per basis vector: no small-matrix BLAS call.
     columns = np.empty((d, n))
     for rows in row_blocks(n):
         tangent = gnomonic_project(model.center, points[rows])
-        for axis, out in zip(basis.T, columns[:, rows]):
+        for axis, out in zip(model.basis.T, columns[:, rows]):
             np.matmul(tangent, axis, out=out)
     coords = columns.T
     if d == 2:

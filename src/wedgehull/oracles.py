@@ -34,36 +34,6 @@ _MIN_SAMPLES = 10**4
 _QUAD_RTOL = 1e-8
 
 
-def _hit_fraction_report(
-    model: WedgeModel,
-    sample_count: int,
-    seed: SeedSpec,
-    stream_tag: str,
-    extra_condition=None,
-) -> EstimatorReport:
-    if sample_count < _MIN_SAMPLES:
-        raise DomainError(f"sample_count must be at least {_MIN_SAMPLES}")
-    total = omega(model.d + 1)
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < sample_count:
-        m = min(_BATCH, sample_count - done)
-        rng = seed.substream(stream_tag, chunk_index).generator()
-        points = _unit_sphere(rng, model.d, m)
-        inside = wedge_contains(model, points)
-        if extra_condition is not None:
-            inside &= extra_condition(points)
-        hits += int(inside.sum())
-        done += m
-        chunk_index += 1
-    p = hits / sample_count
-    std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
-    return EstimatorReport(
-        value=total * p, std_error=std_error, sample_count=sample_count, seed=seed
-    )
-
-
 def mc_cap_measure(
     model: WedgeModel, z: np.ndarray, sample_count: int, seed: SeedSpec
 ) -> EstimatorReport:
@@ -73,8 +43,18 @@ def mc_cap_measure(
         raise DomainError("direction z must be an ambient vector")
     if abs(np.linalg.norm(z) - 1.0) > 1e-9:
         raise DomainError("direction z must be a unit vector")
-    return _hit_fraction_report(
-        model, sample_count, seed, "cap_measure", extra_condition=lambda pts: pts @ z >= 0.0
+    if sample_count < _MIN_SAMPLES:
+        raise DomainError(f"sample_count must be at least {_MIN_SAMPLES}")
+    total = omega(model.d + 1)
+    hits = 0
+    for chunk_index, done in enumerate(range(0, sample_count, _BATCH)):
+        rng = seed.substream("cap_measure", chunk_index).generator()
+        points = _unit_sphere(rng, model.d, min(_BATCH, sample_count - done))
+        hits += int((wedge_contains(model, points) & (points @ z >= 0.0)).sum())
+    p = hits / sample_count
+    std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
+    return EstimatorReport(
+        value=total * p, std_error=std_error, sample_count=sample_count, seed=seed
     )
 
 

@@ -24,6 +24,8 @@ from .geometry import (
 )
 
 _U64 = 1 << 64
+# Proposals per rejection round, and points per substream of the cap-measure
+# oracle: it fixes which draws each sample takes, so changing it changes bits.
 _BATCH = 1 << 17
 _STALL_PROPOSALS = 10 ** 7
 _STALL_ACCEPTANCE = 1e-6
@@ -92,41 +94,19 @@ class SampleCloud:
                 raise InternalError("sample cloud contains points outside the wedge")
 
 
-def _square_sum(block: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # numpy's pairwise_sum order over columns lo..hi-1: in sequence below 8
-    # columns, eight interleaved lanes combined pairwise up to 128, and a
-    # split at a multiple of 8 near the middle above that.
-    count = hi - lo
-    if count < 8:
-        total = block[:, lo] * block[:, lo]
-        for c in range(lo + 1, hi):
-            total += block[:, c] * block[:, c]
-        return total
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        total = _square_sum(block, lo, lo + half)
-        total += _square_sum(block, lo + half, hi)
-        return total
-    lanes = [block[:, c] * block[:, c] for c in range(lo, lo + 8)]
-    tail = hi - count % 8
-    for c in range(lo + 8, tail):
-        lanes[(c - lo) % 8] += block[:, c] * block[:, c]
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-    )
-    for c in range(tail, hi):
-        total += block[:, c] * block[:, c]
-    return total
-
-
 def _row_norms(block: np.ndarray) -> np.ndarray:
     """Row norms of a C-ordered block, bit-equal to np.linalg.norm(block, axis=1).
 
     That call reduces each short row in its own pairwise_sum, which costs
-    far more per row than the arithmetic; summing whole columns in the same
-    order gives the same bits for a fraction of the time.
+    far more per row than the arithmetic.  Below 8 columns pairwise_sum adds
+    in sequence, so summing whole columns in sequence gives the same bits
+    for a fraction of the time; wider blocks (d >= 7) go to numpy itself.
     """
-    total = _square_sum(block, 0, block.shape[1])
+    if block.shape[1] >= 8:
+        return np.linalg.norm(block, axis=1)
+    total = block[:, 0] * block[:, 0]
+    for c in range(1, block.shape[1]):
+        total += block[:, c] * block[:, c]
     return np.sqrt(total, out=total)
 
 

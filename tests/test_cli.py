@@ -156,6 +156,24 @@ class TestSimulateCommand:
         assert json.loads(out)["config"]["reps"] == 3
         assert list((tmp_path).glob("binomial_d2_*.csv"))
 
+    def test_whole_float_point_counts_in_a_config_file(self, capsys, tmp_path):
+        outputs = []
+        for name, grid in (("ints", [8, 16, 32]), ("floats", [8.0, 16.0, 32.0])):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(
+                json.dumps(
+                    {"model": "binomial", "d": 2, "grid": grid, "reps": 2,
+                     "master_seed": int(SEED), "fit_window": grid}
+                )
+            )
+            out_dir = tmp_path / name
+            argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            (csv_path,) = out_dir.glob("*.csv")
+            outputs.append((out, csv_path.name, strip_wall_column(csv_path.read_text())))
+        assert outputs[0] == outputs[1]
+
     def test_config_missing_fields_exits_two(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": "binomial", "d": 2, "grid": [8, 16, 32]}))

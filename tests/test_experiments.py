@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import wedgehull.experiments as experiments
+import wedgehull.geometry as geometry
 from wedgehull import (
     DegenerateInput,
     DomainError,
@@ -203,6 +205,13 @@ class TestConfigHash:
         assert config_hash(binomial_cfg(master_seed=SEED + 1)) != base
         assert config_hash(binomial_cfg(reps=5)) != base
 
+    def test_whole_float_point_counts_are_the_int_sweep(self):
+        ints = binomial_cfg(grid=(8, 16, 32), fit_window=(8, 16, 32), reps=2)
+        floats = binomial_cfg(grid=(8.0, 16.0, 32.0), fit_window=(8.0, 16.0, 32.0), reps=2)
+        assert [type(g) for g in floats.grid + floats.fit_window] == [int] * 6
+        assert config_hash(floats) == config_hash(ints)
+        assert strip_wall(run_experiment(floats)) == strip_wall(run_experiment(ints))
+
 
 class TestRunners:
     def test_triangle_cloud(self):
@@ -240,6 +249,24 @@ class TestRunners:
         assert strip_wall(one) == strip_wall(two)
         parallel = run_experiment(cfg, workers=3)
         assert strip_wall(one) == strip_wall(parallel)
+
+    def test_one_projection_basis_per_sweep(self, monkeypatch):
+        real = geometry.orthonormal_complement
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return real(z)
+
+        # every wedgehull module that holds the function, wherever a sweep calls it
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("wedgehull") and (
+                getattr(module, "orthonormal_complement", None) is real
+            ):
+                monkeypatch.setattr(module, "orthonormal_complement", counted)
+        records = run_experiment(binomial_cfg(grid=(8, 16, 32), reps=3))
+        assert len(records) == 9
+        assert len(calls) == 1
 
     def test_records_recomputable_from_stream_id(self):
         cfg = binomial_cfg(grid=(24, 48))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ class TestWedgeModel:
         model = WedgeModel.from_normals(3, normals)
         assert not model.is_orthogonal
         assert model.surface_measure is None
+
+    def test_basis_is_the_center_complement_and_survives_pickle(self):
+        model = WedgeModel.from_normals(3, np.eye(4)[1:])
+        expect = orthonormal_complement(model.center)
+        assert np.array_equal(model.basis, expect)
+        # pool workers receive the model pickled, without re-running __post_init__
+        assert np.array_equal(pickle.loads(pickle.dumps(model)).basis, expect)
 
     def test_center_inside(self, wedge2):
         assert wedge_contains(wedge2, wedge2.center)
