@@ -6,9 +6,8 @@ order.  Records persist to a fixed CSV schema; per-experiment summaries
 (grid means, weighted log-linear fit, theoretical constants) persist to
 JSON.  The expected facet count of the right-angle wedge model grows like
 (4/3) log n for d=2 and 2^{d-1} omega_{d-1} A_d / d log n in general, which
-the fitted slope is compared against.  On a process pool the constants
-estimate runs as one more task beside the replicates; its stream depends
-only on (d, master_seed), so the summary has the same bits either way.
+the fitted slope is compared against; A_d is exact where
+formulas.EXACT_A_D has it and a Monte Carlo estimate otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, FitError
-from .formulas import estimate_A_d, model_constants
+from .formulas import EXACT_A_D, estimate_A_d, model_constants
 from .geometry import WedgeModel
 from .hull import _hull2d, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_poisson_wedge, sample_uniform_wedge
@@ -219,17 +218,6 @@ class RunRecord:
     flag: int = 0
 
 
-class Records(list):
-    """The records of a pool run, in grid order.
-
-    For a c_d2-law model, `constants` holds the key (d, master_seed,
-    samples) and the finished future of the constants block that the pool
-    computed beside the replicates, for `summarize` to use.
-    """
-
-    constants = None
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     """Weighted least-squares line of mean facet count vs log size."""
@@ -332,9 +320,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     """One record per (grid value, replicate) of the sweep, in grid order.
 
     Records are bit-identical for any worker count: each task draws from
-    its own derived stream.  With more than one worker, a c_d2-law model's
-    constants block is the pool's first task, and the returned Records
-    carry it to `summarize`.
+    its own derived stream.
     """
     record_model = _runs_as(cfg)
     digest = config_hash(replace(cfg, model=record_model))
@@ -361,13 +347,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     if workers <= 1:
         return [_execute_task(p) for p in payloads]
     chunk = max(1, len(payloads) // (8 * workers))
-    records = Records()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if MODEL_SPECS[cfg.model].slope is _c_d2:
-            key = (cfg.d, cfg.master_seed, CONSTANTS_SAMPLES)
-            records.constants = key, pool.submit(_constants_block, *key)
-        records.extend(pool.map(_execute_task, payloads, chunksize=chunk))
-    return records
+        return list(pool.map(_execute_task, payloads, chunksize=chunk))
 
 
 def aggregate(records):
@@ -503,28 +484,17 @@ def read_csv(path, config_hash: str = ""):
     return records
 
 
-def _constants_block(d: int, master_seed: int, samples: int) -> dict:
-    """A_d on the ("constants", d) stream of the master seed, and c_{d,2} from it."""
-    report = estimate_A_d(d, samples, SeedSpec(master_seed, derive_stream("constants", d)))
-    return {
-        "A_d": report.value,
-        "A_d_se": report.std_error,
-        "c_d2_theory": model_constants(d, report).c_d2,
-    }
-
-
 def summarize(
     cfg: ExperimentConfig, records, constants_samples: int = CONSTANTS_SAMPLES
 ) -> dict:
     """Aggregate records into the persistent JSON summary document.
 
-    Models whose theory slope is c_{d,2} get a constants block that
-    re-estimates the parallelotope mean on a stream derived from the master
-    seed, so the whole document is reproducible.  Records from a pool run
-    bring the block it computed for the same (d, master_seed, samples),
-    which raises here if its estimate raised; otherwise it is computed now.
-    The others have none: the half-sphere's plateau and the polygon's
-    2*ell/3 need no A_d.
+    Models whose theory slope is c_{d,2} get a constants block: A_d from
+    formulas.EXACT_A_D with standard error 0 where the table has d, else
+    estimated from `constants_samples` draws on the ("constants", d) stream
+    of the master seed, so the whole document is reproducible.  The others
+    have none: the half-sphere's plateau and the polygon's 2*ell/3 need no
+    A_d.
     """
     sizes, means, std_errors, _, _ = aggregate(records)
     window = cfg.fit_window if cfg.fit_window is not None else default_fit_window(cfg)
@@ -543,12 +513,13 @@ def summarize(
         },
     }
     if MODEL_SPECS[cfg.model].slope is _c_d2:
-        key = (cfg.d, cfg.master_seed, constants_samples)
-        pooled = getattr(records, "constants", None)
-        if pooled is not None and pooled[0] == key:
-            summary["constants"] = pooled[1].result()
-        else:
-            summary["constants"] = _constants_block(*key)
+        a_d, a_d_se = EXACT_A_D.get(cfg.d), 0.0
+        if a_d is None:
+            seed = SeedSpec(cfg.master_seed, derive_stream("constants", cfg.d))
+            report = estimate_A_d(cfg.d, constants_samples, seed)
+            a_d, a_d_se = report.value, report.std_error
+        c_d2 = model_constants(cfg.d, a_d).c_d2
+        summary["constants"] = {"A_d": a_d, "A_d_se": a_d_se, "c_d2_theory": c_d2}
     if cfg.model == "conjecture_probe" and cfg.j >= 2:
         alt = fit_slope(records, window, log_power=float(cfg.j - 1))
         summary["fit_log_power"] = {

@@ -2,9 +2,9 @@
 
 Covers the wedge measure, the cap measure I2 of a wedge sliced by a
 hyperplane together with its lower bound and small-angle asymptotics,
-Girard's triangle area, the Monte Carlo parallelotope constant A_d with
-the derived slope constant c_{d,2}, and the analytic inequalities that
-drive the small-angle estimates, verified on interior grids.
+Girard's triangle area, the parallelotope constant A_d with the derived
+slope constant c_{d,2}, and the analytic inequalities that drive the
+small-angle estimates, verified on interior grids.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .sampling import SeedSpec, _beta_prime
 # Samples per substream of estimate_A_d: it fixes which draws each sample
 # takes, so changing it changes the estimate's bits.
 _A_D_CHUNK = 1 << 20
+
+# A_d known in closed form.  At d = 2 the rows are (u_i, 1), so A_2 = E|u_1 - u_2| = 2/3.
+EXACT_A_D = {2: 2.0 / 3.0}
 
 
 def wedge_measure(d: int, j: int = 2) -> float:

@@ -69,7 +69,7 @@ def _check_unit(x: np.ndarray, name: str = "vector") -> np.ndarray:
     return x
 
 
-@dataclass
+@dataclass(eq=False)
 class WedgeCoords:
     """Angular chart (phi, psi, u) of a unit normal direction.
 
@@ -99,7 +99,7 @@ class WedgeCoords:
         return self.u.size + 1
 
 
-@dataclass
+@dataclass(eq=False)
 class WedgeModel:
     """Wedge configuration: dimension d, hyperplane count j, normals, center.
 
@@ -113,7 +113,7 @@ class WedgeModel:
     j: int
     normals: np.ndarray
     center: np.ndarray
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))

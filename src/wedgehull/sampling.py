@@ -68,7 +68,7 @@ def derive_stream(*parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleCloud:
     """A finite point set on a wedge, checked on construction to lie on it."""
 
@@ -229,18 +229,18 @@ def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> Sam
 def _beta_prime(rng: np.random.Generator, k: int, beta: float, count: int) -> np.ndarray:
     if k == 0:
         return np.zeros((count, 0))
-    b = rng.beta(k / 2.0, beta - k / 2.0, count)
-    b = np.minimum(b, 1.0 - 1e-16)
-    radius = np.sqrt(b / (1.0 - b))
-    directions = _unit_sphere(rng, k - 1, count)
-    return radius[:, None] * directions
+    # standard_gamma underflows to exactly 0 at small shapes; the floor keeps x finite
+    gamma = np.maximum(rng.standard_gamma(beta - k / 2.0, count), np.finfo(float).tiny)
+    return rng.standard_normal((count, k)) / np.sqrt(2.0 * gamma)[:, None]
 
 
 def sample_beta_prime(k: int, beta: float, seed: SeedSpec, count: int) -> np.ndarray:
     """count i.i.d. vectors in R^k with density prop. to (1 + |x|^2)^(-beta).
 
-    The squared-radius map r^2/(1+r^2) is Beta(k/2, beta - k/2) distributed
-    and the direction is uniform on S^(k-1); k=0 yields empty vectors.
+    Each is N / sqrt(2 G), with N standard normal in R^k and G ~
+    Gamma(beta - k/2): a multivariate t vector with 2 beta - k degrees of
+    freedom, scaled by 1/sqrt(2 beta - k) (Kotz and Nadarajah, Multivariate
+    t Distributions and Their Applications, 2004).  k=0 yields empty vectors.
     """
     if k < 0 or count < 0:
         raise DomainError("need k >= 0 and count >= 0")

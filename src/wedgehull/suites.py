@@ -17,6 +17,7 @@ import numpy as np
 from . import oracles
 from .errors import InequalityViolation
 from .formulas import (
+    EXACT_A_D,
     appendix_f,
     estimate_A_d,
     girard_area,
@@ -248,10 +249,11 @@ def suite_i2(dims=(2, 3), pairs: int = 20, sample_count: int = 10**6) -> list:
 def suite_i1(dims=(2, 3), sample_count: int = 4 * 10**4) -> list:
     """Cross-section integral: bound, small-angle law, quadrature agreement."""
     results = []
-    a_values = {2: 2.0 / 3.0}
     for d in dims:
-        if d not in a_values:
-            a_values[d] = estimate_A_d(d, 10**6, _seed("i1_ad", d)).value
+        if d in EXACT_A_D:
+            a_d = EXACT_A_D[d]
+        else:
+            a_d = estimate_A_d(d, 10**6, _seed("i1_ad", d)).value
         upper = oracles.i1_upper_bound(d)
         worst = 0.0
         for index, (p, q) in enumerate([(0.3, 0.4), (0.7, 0.5), (1.2, 1.0)]):
@@ -266,7 +268,7 @@ def suite_i1(dims=(2, 3), sample_count: int = 4 * 10**4) -> list:
             )
         )
         small = oracles.mc_I1(d, 1e-2, 1e-2, sample_count, _seed("i1_small", d))
-        b_d = model_constants(d, a_values[d]).B_d
+        b_d = model_constants(d, a_d).B_d
         ratio = small.value / (b_d * 1e-2 ** (d + 1))
         results.append(
             CheckResult(

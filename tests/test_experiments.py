@@ -580,6 +580,7 @@ class TestPersistence:
 
 POOL_CONFIGS = {
     "binomial": dict(model="binomial", d=2, grid=(16, 64, 256), reps=3),
+    "binomial_d3": dict(model="binomial", d=3, grid=(16, 64, 256), reps=3),
     "poisson": dict(model="poisson", d=2, grid=(10.0, 40.0, 160.0), reps=3),
     "probe": dict(
         model="conjecture_probe",
@@ -592,49 +593,49 @@ POOL_CONFIGS = {
 }
 
 
+def _log_estimates(monkeypatch, log):
+    """Patch experiments.estimate_A_d to append the calling pid to `log`.
+
+    A file, not a list, so that calls in forked pool workers are seen too.
+    """
+    real = experiments.estimate_A_d
+
+    def logging(*args):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "estimate_A_d", logging)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
 class TestConstantsOnThePool:
+    """The constants block of pool runs: the pool runs replicates only, and
+    `summarize` reads A_d from EXACT_A_D or estimates it in the parent."""
+
     @pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
     def test_summary_bytes_match_at_any_worker_count(self, name):
         cfg = ExperimentConfig(master_seed=SEED, **POOL_CONFIGS[name])
         serial = json.dumps(summarize(cfg, run_experiment(cfg)))
-        records = run_experiment(cfg, workers=2)
-        pooled = json.dumps(summarize(cfg, records))
-        # the same records as a plain list, with no run's constants block
-        alone = json.dumps(summarize(cfg, list(records)))
-        assert pooled == serial == alone
-        # the pool's block is for 10^6 samples; another count computes its own
-        small = summarize(cfg, records, constants_samples=10**4)
-        assert small == summarize(cfg, list(records), constants_samples=10**4) != pooled
+        pooled = json.dumps(summarize(cfg, run_experiment(cfg, workers=2)))
+        assert pooled == serial
 
-    @pytest.mark.parametrize("workers, calls", [(1, 1), (2, 0)])
-    def test_parent_estimates_only_without_a_pool(self, monkeypatch, workers, calls):
-        seen = []
-        real = experiments.estimate_A_d
-
-        def counting(*args):
-            seen.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(experiments, "estimate_A_d", counting)
-        cfg = binomial_cfg()
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["binomial", "poisson", "probe"])
+    def test_planar_constants_are_exact(self, monkeypatch, tmp_path, name, workers):
+        calls = _log_estimates(monkeypatch, tmp_path / "calls")
+        cfg = ExperimentConfig(master_seed=SEED, **POOL_CONFIGS[name])
         summary = summarize(cfg, run_experiment(cfg, workers=workers))
-        assert len(seen) == calls
-        assert set(summary["constants"]) == {"A_d", "A_d_se", "c_d2_theory"}
+        assert summary["constants"] == {"A_d": 2 / 3, "A_d_se": 0.0, "c_d2_theory": 4 / 3}
+        assert calls() == []
 
-    def test_failed_pool_estimate_raises_from_summarize(self, monkeypatch):
-        parent, real = os.getpid(), experiments.estimate_A_d
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_d3_estimates_once_in_the_parent(self, monkeypatch, tmp_path, workers):
+        calls = _log_estimates(monkeypatch, tmp_path / "calls")
+        cfg = ExperimentConfig(master_seed=SEED, **POOL_CONFIGS["binomial_d3"])
+        summary = summarize(cfg, run_experiment(cfg, workers=workers), constants_samples=10**4)
+        assert calls() == [str(os.getpid())]
+        assert summary["constants"]["A_d_se"] > 0.0
 
-        def failing_in_workers(*args):
-            if os.getpid() != parent:
-                raise DomainError("constants estimate failed")
-            return real(*args)
-
-        # patched before the pool forks, so the workers run the failing estimate
-        monkeypatch.setattr(experiments, "estimate_A_d", failing_in_workers)
-        cfg = binomial_cfg()
-        records = run_experiment(cfg, workers=2)
-        with pytest.raises(DomainError, match="constants estimate failed"):
-            summarize(cfg, records)
-        # a model without a constants block submits no estimate
-        half = binomial_cfg(model="halfsphere")
-        assert "constants" not in summarize(half, run_experiment(half, workers=2))
+    def test_pool_run_returns_a_plain_list(self):
+        assert type(run_experiment(binomial_cfg(), workers=2)) is list

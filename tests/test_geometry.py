@@ -8,6 +8,7 @@ from wedgehull import (
     ChartSingular,
     DomainError,
     HalfSphereViolation,
+    SampleCloud,
     SeedSpec,
     WedgeCoords,
     WedgeModel,
@@ -84,6 +85,23 @@ class TestWedgeModel:
         assert np.array_equal(model.basis, expect)
         # pool workers receive the model pickled, without re-running __post_init__
         assert np.array_equal(pickle.loads(pickle.dumps(model)).basis, expect)
+
+    def test_equality_is_identity_and_returns_a_bool(self):
+        # field-wise equality on array fields would raise "truth value ... ambiguous"
+        model = WedgeModel.right_angle(2)
+        u = np.array([0.6, 0.8])
+        pairs = [
+            (model, WedgeModel.right_angle(2)),
+            (WedgeCoords(0.5, 0.4, u), WedgeCoords(0.5, 0.4, u)),
+            (SampleCloud(model, model.center), SampleCloud(model, model.center)),
+        ]
+        for a, b in pairs:
+            assert (a == a) is True
+            assert (a == b) is False
+            assert (a != b) is True
+        copy = pickle.loads(pickle.dumps(model))
+        assert (copy == model) is False
+        assert np.array_equal(copy.basis, model.basis)
 
     def test_center_inside(self, wedge2):
         assert wedge_contains(wedge2, wedge2.center)

@@ -234,6 +234,22 @@ class TestBetaPrime:
         stat = scipy.stats.kstest(b, "beta", args=(1.0, 1.5)).statistic
         assert stat <= 1.628 / math.sqrt(n)
 
+    def test_direction_law(self):
+        n = 10**5
+        # k = 1: the sign is a fair coin; 4 binomial SE
+        z = sample_beta_prime(1, 2.0, make_seed("b", 6), n)
+        assert abs(int((z > 0).sum()) - n / 2) <= 4 * math.sqrt(n) / 2
+        # k = 2: the polar angle is uniform; one-sample KS at the 1% level
+        x = sample_beta_prime(2, 2.5, make_seed("b", 7), n)
+        angle = np.arctan2(x[:, 1], x[:, 0])
+        stat = scipy.stats.kstest(angle, "uniform", args=(-math.pi, 2 * math.pi)).statistic
+        assert stat <= 1.628 / math.sqrt(n)
+
+    def test_extreme_beta_stays_finite(self):
+        # shape beta - k/2 = 0.005: standard_gamma underflows to 0 on ~2% of draws
+        x = sample_beta_prime(1, 0.505, make_seed("b", 8), 10**6)
+        assert np.isfinite(x).all()
+
     def test_reproducible(self):
         a = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)
         b = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)

@@ -19,8 +19,11 @@ change of the median.
 --trace-seed adds one traced pair (`--trace 1`, parent first) per workload,
 with the per-layer table and the self time of each layer.  --cold-pairs adds
 an A/B of a fresh interpreter that runs `run_experiment` and then
-`summarize` on the `binomial_d2_large` grid at its worker count, which shows
-where a sweep's time goes outside the benchmark's wrapper.
+`summarize` on the `binomial_d2_large` grid, reps and worker count, once at
+d = 2 and once at d = 3, which shows where a sweep's time goes outside the
+benchmark's wrapper.  No benchmark workload runs at d = 3, where the
+constants block is a Monte Carlo estimate rather than exact, so the d = 3
+A/B is the only timing of that path; each dimension gets its own summary.
 
 Run it on an otherwise idle machine: a full set of ten 60 s pairs on two
 workloads takes about 45 minutes.
@@ -43,12 +46,12 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 CHANGE_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
-# Times run_experiment and summarize in a fresh interpreter; argv: workloads.json, seed.
+# Times run_experiment and summarize in a fresh interpreter; argv: workloads.json, seed, d.
 COLD_SCRIPT = """
 import json, resource, sys, time
 from wedgehull.experiments import ExperimentConfig, run_experiment, summarize
 inputs = json.load(open(sys.argv[1]))["workloads"]["binomial_d2_large"]["inputs"]
-cfg = ExperimentConfig(model=inputs["model"], d=inputs["d"], grid=tuple(inputs["grid"]),
+cfg = ExperimentConfig(model=inputs["model"], d=int(sys.argv[3]), grid=tuple(inputs["grid"]),
                        reps=inputs["reps"], master_seed=int(sys.argv[2]))
 t0 = time.perf_counter()
 records = run_experiment(cfg, workers=inputs["workers"])
@@ -159,7 +162,7 @@ def traced_pair(trees, workload, seed, seconds):
     return out
 
 
-def cold_pairs(trees, count, first_seed):
+def cold_pairs(trees, count, first_seed, d):
     runs = []
     for i in range(count):
         order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
@@ -167,7 +170,7 @@ def cold_pairs(trees, count, first_seed):
             tree = trees[side]
             done = subprocess.run(
                 [sys.executable, "-c", COLD_SCRIPT, "perfbench/workloads.json",
-                 str(first_seed + i)],
+                 str(first_seed + i), str(d)],
                 cwd=tree, capture_output=True, text=True, check=True,
                 env={**os.environ, "PYTHONPATH": str(tree / "src")},
             )
@@ -179,8 +182,9 @@ def cold_pairs(trees, count, first_seed):
         summary[key] = {side: statistics.median(r[key] for r in runs if r["side"] == side)
                         for side in ("parent", "change")}
     return {
-        "what": f"fresh interpreter, run_experiment then summarize on the binomial_d2_large "
-                f"grid at its worker count, {count} alternating pairs (even pair: change "
+        "what": f"fresh interpreter, run_experiment then summarize at d = {d} on the "
+                f"binomial_d2_large grid, reps and worker count, {count} alternating pairs "
+                f"(even pair: change "
                 f"first), master seeds {first_seed}-{first_seed + count - 1}; child_* are the "
                 f"pool workers' (RUSAGE_CHILDREN); summary values are medians",
         "summary": summary,
@@ -227,7 +231,9 @@ def main(argv=None):
                 seed = args.trace_seed + k
                 report[f"traced_{w}_seed{seed}"] = traced_pair(trees, w, seed, seconds)
         if args.cold_pairs:
-            report["cold_run_experiment"] = cold_pairs(trees, args.cold_pairs, args.cold_seed)
+            for d in (2, 3):
+                report[f"cold_run_experiment_d{d}"] = cold_pairs(
+                    trees, args.cold_pairs, args.cold_seed, d)
         report["software"] = {"python": platform.python_version(),
                               "numpy": numpy.__version__, "scipy": scipy.__version__}
         cpu = next((line.split(":", 1)[1].strip()
