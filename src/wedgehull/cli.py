@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .formulas import estimate_A_d, model_constants
 from .sampling import SeedSpec
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, check_dims, run_suites
 
 OUTPUT_DIR_ENV = "WEDGEHULL_OUTPUT_DIR"
 
@@ -201,6 +201,11 @@ def cmd_constants(args) -> int:
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     dims = (2, 3) if args.dim is None else (args.dim,)
+    try:
+        check_dims(names, dims)
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     results = []
     for name in names:
         start = time.perf_counter()

@@ -84,7 +84,7 @@ def _numbers(name: str, values, counts: bool) -> tuple:
         raise DomainError(f"{name} must be a list of finite numbers, got {values!r}")
     if counts:  # a point count is one sweep (hash, streams) however spelled: 8.0 is 8
         return tuple(int(v) if float(v).is_integer() else v for v in values)
-    return tuple(values)
+    return tuple(float(v) for v in values)  # an intensity is a real number: 10 is 10.0
 
 
 @dataclass(frozen=True)

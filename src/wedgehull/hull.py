@@ -5,9 +5,9 @@ when the linear hyperplane through it leaves all remaining points strictly
 on one side.  facets_ambient applies this definition to every d-subset in
 the ambient space; facets_projected maps the cloud through the gnomonic
 projection at the wedge center, where spherical facets correspond one to
-one with Euclidean hull facets, and reads them off a planar or spatial
-hull.  The two implementations share no geometry code and serve as mutual
-oracles.
+one with Euclidean hull facets, and reads them off a planar chain (d=2)
+or Qhull (d >= 3).  The two implementations share no geometry code and
+serve as mutual oracles.
 
 Facet identity is the sorted tuple of input indices; orientation is
 discarded.  Configurations with ambiguous signs (probability zero for the
@@ -79,6 +79,24 @@ def _generalized_cross(stack: np.ndarray) -> np.ndarray:
         minor = np.delete(stack, i, axis=2)
         normals[:, i] = (-1.0) ** i * np.linalg.det(minor)
     return normals
+
+
+def euler_relation_holds(facets, vertex_count: int, d: int) -> bool:
+    """Whether simplicial facets on vertex_count vertices count like a (d-1)-sphere.
+
+    The k-faces are the (k+1)-subsets of the facets (sorted index tuples),
+    and their counts f_k must satisfy f_0 = vertex_count and the
+    Euler-Poincare relation f_0 - f_1 + ... + (-1)^(d-1) f_(d-1) = 1 - (-1)^d
+    of a simplicial d-polytope's boundary (Ziegler, Lectures on Polytopes,
+    1995, ch. 8).
+    """
+    total = 0
+    for k in range(1, d + 1):
+        faces = {face for facet in facets for face in itertools.combinations(facet, k)}
+        if k == 1 and len(faces) != vertex_count:
+            return False
+        total += (-1) ** (k - 1) * len(faces)
+    return total == 1 - (-1) ** d
 
 
 def facets_ambient(cloud) -> FacetSet:
@@ -301,8 +319,11 @@ def _hull2d(coords: np.ndarray):
 def facets_projected(cloud) -> FacetSet:
     """Facets via gnomonic projection and a Euclidean convex hull.
 
-    Monotone chain with exact-sign fallback for d=2, Qhull for d=3 (with an
-    ambient re-check on small degenerate inputs), ambient scan for d >= 4.
+    The monotone chain with exact-sign fallback at d=2, Qhull at every
+    d >= 3.  When Qhull rejects a small input (at most _QHULL_FALLBACK_CAP
+    points, such as d points spanning no full-dimensional hull), the
+    ambient scan answers instead.  Qhull's hull is flagged when it reports
+    coplanar points or its facets fail euler_relation_holds.
     """
     points = _cloud_points(cloud)
     if not isinstance(cloud, SampleCloud):
@@ -312,8 +333,6 @@ def facets_projected(cloud) -> FacetSet:
     d = amb - 1
     if n < d:
         raise DomainError(f"need at least d={d} points, got {n}")
-    if d >= 4:
-        return facets_ambient(cloud)
     # Contiguous coordinate columns, written block by block; coords is their
     # (n, d) transpose, so _prune_interior reads them without a copy.  One
     # matrix-vector product per basis vector: no small-matrix BLAS call.
@@ -328,8 +347,6 @@ def facets_projected(cloud) -> FacetSet:
         return FacetSet(
             facets=frozenset(edges), vertex_count=len(vertices), degenerate_flag=degenerate
         )
-    if n <= d + 1:
-        return facets_ambient(cloud)
     try:
         hull = ConvexHull(coords)
     except QhullError as exc:
@@ -338,5 +355,5 @@ def facets_projected(cloud) -> FacetSet:
         raise DegenerateInput(f"hull construction failed for n={n}, d={d}") from exc
     facets = frozenset(tuple(sorted(int(i) for i in simplex)) for simplex in hull.simplices)
     vertex_count = len(hull.vertices)
-    degenerate = len(hull.coplanar) > 0 or len(facets) != 2 * vertex_count - 4
+    degenerate = len(hull.coplanar) > 0 or not euler_relation_holds(facets, vertex_count, d)
     return FacetSet(facets=facets, vertex_count=vertex_count, degenerate_flag=degenerate)

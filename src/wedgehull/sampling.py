@@ -230,8 +230,13 @@ def _beta_prime(rng: np.random.Generator, k: int, beta: float, count: int) -> np
     if k == 0:
         return np.zeros((count, 0))
     # standard_gamma underflows to exactly 0 at small shapes; the floor keeps x finite
-    gamma = np.maximum(rng.standard_gamma(beta - k / 2.0, count), np.finfo(float).tiny)
-    return rng.standard_normal((count, k)) / np.sqrt(2.0 * gamma)[:, None]
+    scale = rng.standard_gamma(beta - k / 2.0, count)
+    np.maximum(scale, np.finfo(float).tiny, out=scale)
+    scale *= 2.0
+    np.sqrt(scale, out=scale)
+    x = rng.standard_normal((count, k))
+    x /= scale[:, None]
+    return x
 
 
 def sample_beta_prime(k: int, beta: float, seed: SeedSpec, count: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .errors import InequalityViolation
+from .errors import DomainError, InequalityViolation
 from .formulas import (
     EXACT_A_D,
     appendix_f,
@@ -40,11 +40,13 @@ from .geometry import (
     opening_angle,
     wedge_contains,
 )
-from .hull import facets_ambient, facets_projected
+from .hull import euler_relation_holds, facets_ambient, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_uniform_wedge
 
 DEFAULT_MASTER_SEED = 20260815
 SUITE_NAMES = ("geometry", "i2", "i1", "appendix", "limits", "hull")
+# suite_limits budgets per d: (eps, alpha_a, alpha_b, band)
+LIMITS_BUDGETS = {2: (0.45, 1.0, 1.5, 0.10), 3: (0.49, 1.5, 2.0, 0.15)}
 
 
 @dataclass(frozen=True)
@@ -335,9 +337,8 @@ def suite_appendix(grid_resolution: int = 200) -> list:
 def suite_limits(dims=(2, 3)) -> list:
     """Scaled limit integral: band at n=1e6, scale independence, trend."""
     results = []
-    budgets = {2: (0.45, 1.0, 1.5, 0.10), 3: (0.49, 1.5, 2.0, 0.15)}
     for d in dims:
-        eps, alpha_a, alpha_b, band = budgets[d]
+        eps, alpha_a, alpha_b, band = LIMITS_BUDGETS[d]
         target = math.factorial(d - 1)
         grid = [10**3, 10**4, 10**5, 10**6]
         rep = oracles.mc_binomial_limit_lemma(d, alpha_a, grid, eps)
@@ -373,7 +374,7 @@ def suite_limits(dims=(2, 3)) -> list:
 
 
 def suite_hull(dims=(2, 3), seeds: int = 100, max_points: int = 30) -> list:
-    """Dual facet-count equivalence and the simplicial Euler relation."""
+    """Dual facet-count equivalence, and the Euler relation of the ambient facets at d >= 3."""
     results = []
     for d in dims:
         model = WedgeModel.right_angle(d)
@@ -391,7 +392,7 @@ def suite_hull(dims=(2, 3), seeds: int = 100, max_points: int = 30) -> list:
                 continue
             if ambient.facets != projected.facets:
                 mismatches += 1
-            if d == 3 and projected.facet_count != 2 * projected.vertex_count - 4:
+            if d >= 3 and not euler_relation_holds(ambient.facets, ambient.vertex_count, d):
                 euler_bad += 1
         results.append(
             CheckResult(
@@ -401,21 +402,33 @@ def suite_hull(dims=(2, 3), seeds: int = 100, max_points: int = 30) -> list:
                 f"{mismatches} mismatches over {seeds} clouds ({degenerate} degenerate skipped)",
             )
         )
-        if d == 3:
+        if d >= 3:
             results.append(
                 CheckResult(
                     "hull",
-                    "euler_relation_d3",
+                    f"euler_relation_d{d}",
                     euler_bad == 0,
-                    f"{euler_bad} violations of facets = 2 vertices - 4",
+                    f"{euler_bad} ambient hulls off the Euler relation of a {d - 1}-sphere",
                 )
             )
     return results
 
 
+def check_dims(names, dims) -> None:
+    """Raise DomainError unless every selected suite can run at every d in dims."""
+    for d in dims:
+        if d < 2:
+            raise DomainError(f"dimension must be at least 2, got {d}")
+        if "limits" in names and d not in LIMITS_BUDGETS:
+            raise DomainError(
+                f"the limits suite has budgets for d in {sorted(LIMITS_BUDGETS)} only, got {d}"
+            )
+
+
 def run_suites(names=None, dims=(2, 3)) -> list:
     """Run the selected suites (all by default) and return every check."""
     selected = SUITE_NAMES if names is None else tuple(names)
+    check_dims(selected, dims)
     results = []
     for name in selected:
         if name == "geometry":

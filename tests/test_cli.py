@@ -5,7 +5,8 @@ import pytest
 
 import wedgehull.cli as cli
 import wedgehull.experiments as experiments
-from wedgehull import DegenerateInput
+import wedgehull.suites as suites
+from wedgehull import DegenerateInput, DomainError
 from wedgehull.cli import main, parse_grid
 from wedgehull.experiments import CSV_HEADER
 from wedgehull.suites import SUITE_NAMES, CheckResult
@@ -302,6 +303,16 @@ class TestSimulateCommand:
         assert "constants" not in json.loads(out)
         assert "vs theory plateau = 0.000000" in err
 
+    def test_binomial_sweep_at_dim_4(self, capsys, tmp_path):
+        argv = ["simulate", "--model", "binomial", "--dim", "4", "--grid", "256,1024,4096"]
+        code, out, _ = run_cli(capsys, argv + ["--reps", "3", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["config"]["d"] == 4 and summary["grid"] == [256, 1024, 4096]
+        (path,) = tmp_path.glob("*.csv")
+        rows = strip_wall_column(path.read_text())[1:]
+        assert len(rows) == 9 and all(int(row[5]) > 0 for row in rows)
+
     def test_model_spellings(self):
         parser = cli._build_parser()
         spellings = (
@@ -397,6 +408,38 @@ class TestVerifyCommand:
         assert list(report) == ["suites", "dims", "checks", "passed"]
         assert report["suites"] == list(SUITE_NAMES)
         assert [c["suite"] for c in report["checks"]] == list(SUITE_NAMES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dim", "4"],  # the limits suite has budgets for d = 2 and 3
+            ["verify", "--suite", "limits", "--dim", "4"],
+            ["verify", "--dim", "1"],
+            ["verify", "--suite", "hull", "--dim", "1"],
+        ],
+    )
+    def test_unsupported_dim_is_a_usage_error(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli, "run_suites", lambda names, dims: calls.append(names) or [])
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "usage error" in err and not out
+        assert calls == []
+
+    def test_run_suites_rejects_unsupported_dims(self):
+        with pytest.raises(DomainError):
+            suites.run_suites(("limits",), dims=(4,))
+        with pytest.raises(DomainError):
+            suites.run_suites(("hull",), dims=(1,))
+
+    def test_hull_suite_runs_at_dim_4(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "hull", "--dim", "4"])
+        assert code == 0
+        report = json.loads(out)
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("dual_route_equivalence_d4", True),
+            ("euler_relation_d4", True),
+        ]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -212,6 +212,16 @@ class TestConfigHash:
         assert config_hash(floats) == config_hash(ints)
         assert strip_wall(run_experiment(floats)) == strip_wall(run_experiment(ints))
 
+    def test_int_spelled_intensities_are_the_float_sweep(self):
+        window = dict(fit_window=(10, 20, 40), reps=2)
+        ints = binomial_cfg(model="poisson", grid=(10, 20, 40), **window)
+        floats = binomial_cfg(
+            model="poisson", grid=(10.0, 20.0, 40.0), fit_window=(10.0, 20.0, 40.0), reps=2
+        )
+        assert [type(g) for g in ints.grid + ints.fit_window] == [float] * 6
+        assert config_hash(ints) == config_hash(floats)
+        assert strip_wall(run_experiment(ints)) == strip_wall(run_experiment(floats))
+
 
 class TestRunners:
     def test_triangle_cloud(self):

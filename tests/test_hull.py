@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wedgehull.hull as hull
+import wedgehull.suites as suites
 
 from wedgehull import (
     DomainError,
@@ -137,14 +140,35 @@ class TestDualRouteEquivalence:
             assert a.facets == p.facets
 
     def test_dim4(self):
+        # The ambient scan takes ~4 s at n = 60 on d = 4 and ~70 s at its
+        # cap n = 120, so the sizes stop at 60.
         model = WedgeModel.right_angle(4)
-        for rep in range(20):
-            n = 8 + rep
+        for rep, n in enumerate((5, 6, 7, 9, 12, 16, 20, 25, 30, 40, 60)):
             cloud = cloud_of(model, ("dual4", rep), n)
             a = facets_ambient(cloud)
-            p = facets_projected(cloud)  # same scan for d >= 4, still must agree
+            p = facets_projected(cloud)
+            assert not a.degenerate_flag and not p.degenerate_flag
             assert a.facets == p.facets
+            assert a.vertex_count == p.vertex_count
             assert len(a.facets) > 0
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_smallest_clouds_match_ambient(self, d, extra):
+        # n = d+1 and d+2 reach Qhull, or the ambient scan when Qhull rejects them
+        model = WedgeModel.right_angle(d)
+        for rep in range(10):
+            cloud = cloud_of(model, ("smallest", d, extra, rep), d + 1 + extra)
+            assert facets_projected(cloud) == facets_ambient(cloud)
+
+    def test_dim4_large_cloud_is_unflagged(self):
+        model = WedgeModel.right_angle(4)
+        cloud = cloud_of(model, ("large4",), 131072)
+        with pytest.raises(ResourceLimit):
+            facets_ambient(cloud)
+        fs = facets_projected(cloud)
+        assert not fs.degenerate_flag
+        assert hull.euler_relation_holds(fs.facets, fs.vertex_count, 4)
 
 
 class TestSmallClouds:
@@ -392,7 +416,7 @@ def _unit_rows(rows):
 
 @st.composite
 def rim_clouds(draw):
-    """Wedge clouds at d = 2 or 3 with the ties that a sampled cloud never has.
+    """Wedge clouds at d = 2, 3 or 4 with the ties that a sampled cloud never has.
 
     Points on a lattice of gnomonic coordinates about the wedge center, with
     step 1/side; the last coordinate spans the wedge's strip [-1, 1], whose
@@ -400,7 +424,7 @@ def rim_clouds(draw):
     normal's coordinate exactly 0, on that bounding great circle.  Repeats
     of earlier points.
     """
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 4]))
     model = WedgeModel.right_angle(d)
     basis = orthonormal_complement(model.center)
     side = draw(st.sampled_from([1, 2, 4, 8]))
@@ -454,6 +478,61 @@ class TestDualRouteOnRimClouds:
         assert a.facets == p.facets or (a.degenerate_flag and p.degenerate_flag)
 
 
+def _boundary(vertices, facet_size):
+    return frozenset(itertools.combinations(range(vertices), facet_size))
+
+
+# one vertex from each antipodal pair (2i, 2i+1) of +-e_1, +-e_2, +-e_3
+OCTAHEDRON = frozenset(itertools.product((0, 1), (2, 3), (4, 5)))
+
+
+class TestEulerRelation:
+    @pytest.mark.parametrize(
+        "facets, vertex_count, d",
+        [
+            (_boundary(4, 3), 4, 3),  # tetrahedron
+            (OCTAHEDRON, 6, 3),
+            (_boundary(5, 4), 5, 4),  # 4-simplex
+            (_boundary(6, 5), 6, 5),  # 5-simplex
+            (frozenset({(0, 1), (1, 2), (0, 2)}), 3, 2),  # triangle
+        ],
+    )
+    def test_sphere_boundaries_pass(self, facets, vertex_count, d):
+        assert hull.euler_relation_holds(facets, vertex_count, d)
+
+    def test_tetrahedron_missing_a_facet_fails(self):
+        facets = _boundary(4, 3) - {(1, 2, 3)}
+        assert not hull.euler_relation_holds(facets, 4, 3)
+
+    @pytest.mark.parametrize("vertex_count", [3, 5])
+    def test_vertex_count_must_match_the_facets(self, vertex_count):
+        assert not hull.euler_relation_holds(_boundary(4, 3), vertex_count, 3)
+        assert not hull.euler_relation_holds(_boundary(5, 4), vertex_count + 1, 4)
+
+
+class TestHullSuite:
+    def test_default_check_names(self):
+        checks = suites.suite_hull()
+        assert [(c.name, c.passed) for c in checks] == [
+            ("dual_route_equivalence_d2", True),
+            ("dual_route_equivalence_d3", True),
+            ("euler_relation_d3", True),
+        ]
+
+    def test_euler_check_reads_the_ambient_route(self, monkeypatch):
+        scan = suites.facets_ambient
+
+        def lose_a_facet(cloud):
+            fs = scan(cloud)
+            return dataclasses.replace(fs, facets=fs.facets - {min(fs.facets)})
+
+        monkeypatch.setattr(suites, "facets_ambient", lose_a_facet)
+        checks = {c.name: c for c in suites.suite_hull(dims=(3, 4), seeds=3, max_points=12)}
+        for d in (3, 4):
+            euler = checks[f"euler_relation_d{d}"]
+            assert not euler.passed and euler.detail.startswith("3 ambient hulls")
+
+
 class TestInvariances:
     def test_rotation_fixing_wedge_axes(self, wedge3):
         cloud = cloud_of(wedge3, ("rot",), 40)
@@ -482,6 +561,7 @@ class TestInvariances:
             fs = facets_ambient(cloud_of(wedge3, ("euler", n), n))
             assert not fs.degenerate_flag
             assert fs.facet_count == 2 * fs.vertex_count - 4
+            assert hull.euler_relation_holds(fs.facets, fs.vertex_count, 3)
 
     def test_vertex_count_matches_index_union(self, wedge2):
         fs = facets_ambient(cloud_of(wedge2, ("vc",), 25))
@@ -509,10 +589,15 @@ class TestResourceAndInputGuards:
         with pytest.raises(DomainError):
             facets_ambient(np.zeros((5, 2)))
 
-    def test_dim3_tiny_cloud_uses_exhaustive_scan(self, wedge3):
-        cloud = cloud_of(wedge3, ("tiny3",), 4)
+    def test_dim3_tiny_cloud_uses_exhaustive_scan(self, wedge3, monkeypatch):
+        # three points span no 3-D hull: Qhull rejects them and the scan answers
+        cloud = cloud_of(wedge3, ("tiny3",), 3)
+        calls = []
+        scan = hull.facets_ambient
+        monkeypatch.setattr(hull, "facets_ambient", lambda c: calls.append(c) or scan(c))
         fs = facets_projected(cloud)
-        assert fs.facet_count == 4
+        assert calls == [cloud]
+        assert fs.facets == frozenset({(0, 1, 2)}) and fs.vertex_count == 3
 
 
 B = BLOCK_ROWS

@@ -250,6 +250,19 @@ class TestBetaPrime:
         x = sample_beta_prime(1, 0.505, make_seed("b", 8), 10**6)
         assert np.isfinite(x).all()
 
+    def test_allocates_only_the_output_and_one_column(self):
+        # Peak traced allocation of 3 * 2^20 scalar draws: the 24 MiB output
+        # plus one 24 MiB column of scales, computed in place (96 MiB with
+        # whole-array temporaries).
+        tracemalloc.start()
+        try:
+            x = sample_beta_prime(1, 2.0, make_seed("b", 9), 3 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes == 24 << 20
+        assert peak <= 52 << 20
+
     def test_reproducible(self):
         a = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)
         b = sample_beta_prime(2, 3.0, make_seed("b", 5), 100)
