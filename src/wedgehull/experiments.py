@@ -319,9 +319,16 @@ def _execute_task(payload: dict) -> RunRecord:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     """One record per (grid value, replicate) of the sweep, in grid order.
 
-    Records are bit-identical for any worker count: each task draws from
-    its own derived stream.
+    Records are bit-identical for any worker count and task order: each
+    task draws from its own derived stream.  Tasks run largest first (in
+    reverse, as the grid is strictly increasing), so each process maps its
+    biggest arrays once and reuses that memory for the smaller clouds.  A
+    d >= 3 sweep imports Qhull before its first task, so no record's wall
+    time includes the import and forked workers inherit it.
     """
+    if cfg.d >= 3:
+        import scipy.spatial  # noqa: F401
+
     record_model = _runs_as(cfg)
     digest = config_hash(replace(cfg, model=record_model))
     kind = MODEL_SPECS[record_model].kind
@@ -345,10 +352,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         for rep in range(cfg.reps)
     ]
     if workers <= 1:
-        return [_execute_task(p) for p in payloads]
+        return [_execute_task(p) for p in reversed(payloads)][::-1]
     chunk = max(1, len(payloads) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_task, payloads, chunksize=chunk))
+        return list(pool.map(_execute_task, reversed(payloads), chunksize=chunk))[::-1]
 
 
 def aggregate(records):

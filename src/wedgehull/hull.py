@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, DomainError, ResourceLimit
 from .geometry import BLOCK_ROWS, WedgeModel, gnomonic_project, row_blocks
@@ -347,6 +346,9 @@ def facets_projected(cloud) -> FacetSet:
         return FacetSet(
             facets=frozenset(edges), vertex_count=len(vertices), degenerate_flag=degenerate
         )
+    # imported here so that a d = 2 process never loads scipy
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(coords)
     except QhullError as exc:

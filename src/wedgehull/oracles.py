@@ -6,7 +6,8 @@ wedge measure by hit fractions on the full sphere, the cross-section
 integral by direct sampling on a great subsphere, and the binomial limit
 integral by deterministic quadrature.  Agreement within stated Monte
 Carlo error is the evidence that the implemented formulas mean what they
-claim.
+claim.  The two quadratures import scipy in their own bodies, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError
 from .formulas import EstimatorReport, parallelotope_volume
@@ -164,6 +164,8 @@ def quadrature_I1_dim2(phi: float, psi: float) -> float:
     the inner integral has the closed antiderivative 2(sqrt(1+b^2) -
     1/sqrt(1+L^2)), leaving one adaptive quadrature.
     """
+    from scipy import integrate
+
     beta = float(opening_angle(phi, psi))
     half = math.tan(beta / 2.0)
     edge = 1.0 / math.sqrt(1.0 + half * half)
@@ -206,6 +208,8 @@ def binomial_limit_integrand_value(d: int, alpha: float, n: float, epsilon: floa
         raise DomainError("epsilon must lie in (0, 1/2)")
     if alpha <= 0.0 or n <= d:
         raise DomainError("need alpha > 0 and n > d")
+    from scipy import integrate, special
+
     a, b = float(d), float(n - d + 1)
     log_beta = special.betaln(a, b)
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,30 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(tmp_path, body: str):
+    """Run `body` in a fresh interpreter in tmp_path; its last stdout line, as JSON.
+
+    `body` may call loaded(), the sorted names of the scipy modules imported
+    so far.
+    """
+    prelude = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(body)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def strip_wall_column(csv_text: str) -> list:
@@ -445,6 +474,64 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+class TestScipyLoadsWhenCalled:
+    """A d = 2 sweep never loads scipy; the commands that call it load it in set-up."""
+
+    SIMULATE = ["simulate", "--model", "binomial", "--grid", "8,16,32", "--reps", "2"]
+
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        body = """
+            import wedgehull, wedgehull.cli, wedgehull.suites
+            print(json.dumps(loaded()))
+        """
+        assert run_fresh(tmp_path, body) == []
+
+    def test_planar_simulate_loads_no_scipy(self, tmp_path):
+        body = f"""
+            import wedgehull.cli as cli
+            code = cli.main({self.SIMULATE + ["--out", "out"]!r})
+            print(json.dumps([code, loaded()]))
+        """
+        assert run_fresh(tmp_path, body) == [0, []]
+
+    def test_d3_simulate_loads_qhull_before_its_first_task(self, tmp_path):
+        body = f"""
+            import wedgehull.cli as cli
+            import wedgehull.experiments as experiments
+            seen = []
+            real = experiments._execute_task
+
+            def spy(payload):
+                seen.append("scipy.spatial" in sys.modules)
+                return real(payload)
+
+            experiments._execute_task = spy
+            code = cli.main({self.SIMULATE + ["--dim", "3", "--out", "out"]!r})
+            print(json.dumps([code, seen[0], "scipy.spatial" in loaded()]))
+        """
+        assert run_fresh(tmp_path, body) == [0, True, True]
+
+    def test_verify_loads_scipy_before_its_first_suite(self, tmp_path):
+        body = """
+            import wedgehull.cli as cli
+            wanted = ("scipy.integrate", "scipy.spatial", "scipy.special")
+            seen = []
+
+            def spy(names, dims):
+                if not seen:
+                    seen.append([m for m in wanted if m in sys.modules])
+                return []
+
+            cli.run_suites = spy
+            code = cli.main(["verify", "--suite", "geometry"])
+            print(json.dumps([code, seen]))
+        """
+        assert run_fresh(tmp_path, body) == [
+            0,
+            [["scipy.integrate", "scipy.spatial", "scipy.special"]],
+        ]
 
 
 def test_unknown_subcommand_exits_two():

@@ -260,6 +260,22 @@ class TestRunners:
         parallel = run_experiment(cfg, workers=3)
         assert strip_wall(one) == strip_wall(parallel)
 
+    def test_tasks_run_largest_first_and_records_come_back_in_grid_order(self, monkeypatch):
+        real = experiments._execute_task
+        sizes = []
+
+        def spy(payload):
+            sizes.append(payload["size"])
+            return real(payload)
+
+        monkeypatch.setattr(experiments, "_execute_task", spy)
+        cfg = binomial_cfg(grid=(8, 16, 32), reps=3)
+        records = run_experiment(cfg)
+        assert sizes == [32] * 3 + [16] * 3 + [8] * 3
+        assert [(r.size_param, r.rep_index) for r in records] == [
+            (size, rep) for size in cfg.grid for rep in range(cfg.reps)
+        ]
+
     def test_one_projection_basis_per_sweep(self, monkeypatch):
         real = geometry.orthonormal_complement
         calls = []

@@ -98,5 +98,6 @@ def test_summary_digest_is_pinned(tmp_path, name):
     assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == GOLDEN[name][2]
 
 
-def test_binomial_digest_is_pinned_on_two_workers(tmp_path):
-    assert _digest(tmp_path, "binomial_d2", workers=2) == GOLDEN["binomial_d2"][1]
+@pytest.mark.parametrize("name", ["binomial_d2", "binomial_d3"])
+def test_binomial_digest_is_pinned_on_two_workers(tmp_path, name):
+    assert _digest(tmp_path, name, workers=2) == GOLDEN[name][1]

@@ -24,6 +24,9 @@ d = 2 and once at d = 3, which shows where a sweep's time goes outside the
 benchmark's wrapper.  No benchmark workload runs at d = 3, where the
 constants block is a Monte Carlo estimate rather than exact, so the d = 3
 A/B is the only timing of that path; each dimension gets its own summary.
+The package import is timed as its own figure, `import_s`, and `total_s`
+includes it, so an import that moves from start-up into `run_experiment`
+(as Qhull's does at d = 3) shifts time between figures, not into a loss.
 
 Run it on an otherwise idle machine: a full set of ten 60 s pairs on two
 workloads takes about 45 minutes.
@@ -46,10 +49,13 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 CHANGE_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
-# Times run_experiment and summarize in a fresh interpreter; argv: workloads.json, seed, d.
+# Times the package import, run_experiment and summarize in a fresh interpreter;
+# argv: workloads.json, seed, d.
 COLD_SCRIPT = """
 import json, resource, sys, time
+t_import = time.perf_counter()
 from wedgehull.experiments import ExperimentConfig, run_experiment, summarize
+import_s = time.perf_counter() - t_import
 inputs = json.load(open(sys.argv[1]))["workloads"]["binomial_d2_large"]["inputs"]
 cfg = ExperimentConfig(model=inputs["model"], d=int(sys.argv[3]), grid=tuple(inputs["grid"]),
                        reps=inputs["reps"], master_seed=int(sys.argv[2]))
@@ -60,7 +66,8 @@ summarize(cfg, records)
 t2 = time.perf_counter()
 kids = resource.getrusage(resource.RUSAGE_CHILDREN)
 own = resource.getrusage(resource.RUSAGE_SELF)
-print(json.dumps({"run_experiment_s": t1 - t0, "summarize_s": t2 - t1, "total_s": t2 - t0,
+print(json.dumps({"import_s": import_s, "run_experiment_s": t1 - t0,
+                  "summarize_s": t2 - t1, "total_s": import_s + t2 - t0,
                   "child_cpu_s": kids.ru_utime + kids.ru_stime,
                   "child_minflt": kids.ru_minflt, "parent_peak_rss_mb": own.ru_maxrss / 1024}))
 """
@@ -177,15 +184,16 @@ def cold_pairs(trees, count, first_seed, d):
             runs.append({"side": side, "seed": first_seed + i,
                          **json.loads(done.stdout.strip().splitlines()[-1])})
     summary = {}
-    for key in ("run_experiment_s", "summarize_s", "total_s", "child_cpu_s", "child_minflt",
-                "parent_peak_rss_mb"):
+    for key in ("import_s", "run_experiment_s", "summarize_s", "total_s", "child_cpu_s",
+                "child_minflt", "parent_peak_rss_mb"):
         summary[key] = {side: statistics.median(r[key] for r in runs if r["side"] == side)
                         for side in ("parent", "change")}
     return {
         "what": f"fresh interpreter, run_experiment then summarize at d = {d} on the "
                 f"binomial_d2_large grid, reps and worker count, {count} alternating pairs "
-                f"(even pair: change "
-                f"first), master seeds {first_seed}-{first_seed + count - 1}; child_* are the "
+                f"(even pair: change first), master seeds {first_seed}-"
+                f"{first_seed + count - 1}; import_s is the import of wedgehull.experiments, "
+                f"total_s the import, run_experiment and summarize together; child_* are the "
                 f"pool workers' (RUSAGE_CHILDREN); summary values are medians",
         "summary": summary,
         "runs": runs,
