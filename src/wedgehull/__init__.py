@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     FitError,
     HalfSphereViolation,
-    InequalityViolation,
     InternalError,
     QuadratureError,
     ResourceLimit,
@@ -15,9 +14,7 @@ from .errors import (
     WedgehullError,
 )
 from .formulas import (
-    AppendixReport,
     EstimatorReport,
-    InequalityCheck,
     ModelConstants,
     appendix_f,
     estimate_A_d,
@@ -27,7 +24,6 @@ from .formulas import (
     i2_complement,
     model_constants,
     parallelotope_volume,
-    verify_appendix_inequalities,
     wedge_measure,
 )
 from .geometry import (

@@ -19,6 +19,7 @@ from .errors import DomainError, WedgehullError
 from .experiments import (
     MODEL_SPECS,
     ExperimentConfig,
+    check_workers,
     config_hash,
     run_experiment,
     summarize,
@@ -145,6 +146,7 @@ def _theory_line(cfg: ExperimentConfig, summary: dict) -> str:
 def cmd_simulate(args) -> int:
     try:
         cfg = _config_from_args(args)
+        check_workers(args.workers)
     except (ValueError, KeyError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

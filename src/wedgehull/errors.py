@@ -29,10 +29,6 @@ class ResourceLimit(WedgehullError):
     """Requested computation exceeds a hard size limit."""
 
 
-class InequalityViolation(WedgehullError):
-    """A grid-checked analytic inequality failed at a witness point."""
-
-
 class QuadratureError(WedgehullError):
     """Numerical integration failed to converge."""
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, FitError
-from .formulas import EXACT_A_D, estimate_A_d, model_constants
+from .formulas import EXACT_A_D, estimate_A_d, model_constants, wedge_measure
 from .geometry import WedgeModel
 from .hull import _hull2d, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_poisson_wedge, sample_uniform_wedge
@@ -119,6 +119,8 @@ class ExperimentConfig:
             if self.ell is None:
                 object.__setattr__(self, "ell", 3)
             object.__setattr__(self, "j", self.ell)
+        elif self.ell is not None:
+            raise DomainError(f"only the polygon baseline takes ell, not {self.model}")
         elif spec.j != "j":
             object.__setattr__(self, "j", spec.j)
         counts = spec.kind != "poisson"
@@ -316,6 +318,12 @@ def _execute_task(payload: dict) -> RunRecord:
     ) from last_error
 
 
+def check_workers(workers) -> None:
+    """Raise DomainError unless `workers` is a whole number of at least 1."""
+    if not _is_int(workers) or workers < 1:
+        raise DomainError(f"workers must be an integer of at least 1, got {workers!r}")
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     """One record per (grid value, replicate) of the sweep, in grid order.
 
@@ -326,6 +334,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     d >= 3 sweep imports Qhull before its first task, so no record's wall
     time includes the import and forked workers inherit it.
     """
+    check_workers(workers)
     if cfg.d >= 3:
         import scipy.spatial  # noqa: F401
 
@@ -351,7 +360,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         for size in cfg.grid
         for rep in range(cfg.reps)
     ]
-    if workers <= 1:
+    # a fork pool starts all its workers at once, so it gets no more than the tasks
+    workers = min(workers, len(payloads))
+    if workers == 1:
         return [_execute_task(p) for p in reversed(payloads)][::-1]
     chunk = max(1, len(payloads) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -429,7 +440,8 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
 def default_fit_window(cfg: ExperimentConfig):
     """Grid values past the small-size transient (about 512 expected points)."""
     if cfg.model == "poisson":
-        sigma = _build_model(cfg.d, cfg.j, cfg.normals).surface_measure
+        # a Poisson wedge has j = 2 normals, which WedgeModel requires orthogonal
+        sigma = wedge_measure(cfg.d, cfg.j)
         window = tuple(g for g in cfg.grid if g * sigma >= DEFAULT_MIN_FIT_SIZE)
     else:
         window = tuple(g for g in cfg.grid if g >= DEFAULT_MIN_FIT_SIZE)

@@ -3,8 +3,9 @@
 Covers the wedge measure, the cap measure I2 of a wedge sliced by a
 hyperplane together with its lower bound and small-angle asymptotics,
 Girard's triangle area, the parallelotope constant A_d with the derived
-slope constant c_{d,2}, and the analytic inequalities that drive the
-small-angle estimates, verified on interior grids.
+slope constant c_{d,2}, and the stabilized quotient f(x, y) whose lower
+bound drives the small-angle estimates.  The appendix inequalities
+themselves are checked on interior grids by suites.suite_appendix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InequalityViolation, InternalError
+from .errors import DomainError, InternalError
 from .geometry import BLOCK_ROWS, omega, row_blocks
 from .sampling import SeedSpec, _beta_prime
 
@@ -282,81 +283,3 @@ def appendix_f(x, y):
         vals[pos] = (xp - np.arcsin(np.sin(xp) * np.cos(yp))) / (xp * yp ** 2)
         out[big] = vals
     return out[()]
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    name: str
-    min_slack: float
-    witness: tuple[float, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack > 0.0
-
-
-@dataclass(frozen=True)
-class AppendixReport:
-    grid_resolution: int
-    checks: tuple[InequalityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _interior_grid(lo: float, hi: float, resolution: int) -> np.ndarray:
-    # Half-step offsets keep the grid strictly inside the open interval.
-    step = (hi - lo) / resolution
-    return lo + (np.arange(resolution) + 0.5) * step
-
-
-def verify_appendix_inequalities(grid_resolution: int = 200) -> AppendixReport:
-    """Check the four analytic inequalities on interior grids.
-
-    (i)   f(x, y) >= 2/pi^2 on (0, pi/2] x (0, pi];
-    (ii)  pi - x + arcsin(sin x cos y) >= ((pi/2 - x) + (pi - y))/3
-          on (0, pi/2) x (0, pi);
-    (iii) pi/2 - arcsin z >= sqrt(1 - z) on [-1, 1] and
-          cos z <= 1 - z^2/5 on [0, pi];
-    (iv)  x + sqrt(5(x^2 + y^2) - x^2 y^2)/5 >= (x + y)/3 on the same
-          rectangle as (ii).
-
-    Raises InequalityViolation with a witness point if any slack is <= 0.
-    """
-    if grid_resolution < 100:
-        raise DomainError("grid_resolution must be at least 100")
-    xs = _interior_grid(0.0, math.pi / 2, grid_resolution)
-    ys = _interior_grid(0.0, math.pi, grid_resolution)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-
-    def summarize(name, slack, *coords):
-        flat = int(np.argmin(slack))
-        witness = tuple(float(c.ravel()[flat]) for c in coords)
-        return InequalityCheck(name=name, min_slack=float(slack.ravel()[flat]), witness=witness)
-
-    checks = []
-    checks.append(summarize("f_minimum", appendix_f(xg, yg) - 2.0 / math.pi ** 2, xg, yg))
-    lhs = math.pi - xg + np.arcsin(np.sin(xg) * np.cos(yg))
-    checks.append(
-        summarize("angle_average", lhs - ((math.pi / 2 - xg) + (math.pi - yg)) / 3.0, xg, yg)
-    )
-    z1 = _interior_grid(-1.0, 1.0, grid_resolution)
-    checks.append(summarize("arcsin_sqrt", math.pi / 2 - np.arcsin(z1) - np.sqrt(1.0 - z1), z1))
-    z2 = _interior_grid(0.0, math.pi, grid_resolution)
-    checks.append(summarize("cosine_quadratic", 1.0 - z2 ** 2 / 5.0 - np.cos(z2), z2))
-    checks.append(
-        summarize(
-            "norm_exercise",
-            xg + np.sqrt(5.0 * (xg ** 2 + yg ** 2) - xg ** 2 * yg ** 2) / 5.0 - (xg + yg) / 3.0,
-            xg,
-            yg,
-        )
-    )
-    report = AppendixReport(grid_resolution=grid_resolution, checks=tuple(checks))
-    for check in report.checks:
-        if not check.passed:
-            raise InequalityViolation(
-                f"{check.name} violated: slack {check.min_slack:.3e} at {check.witness}"
-            )
-    return report

@@ -5,7 +5,9 @@
 `suites.suite_<name>` with a copy that applies the keyword budgets of
 `perfbench/workloads.json`.  A rename in the package, or a suite table that
 binds the suite functions at import time, would break the benchmark (or run
-it at full budget) without failing any other test.
+it at full budget) without failing any other test.  The gate of the
+`verify_all` workload also counts its checks, so a suite that gains or loses
+a check must move `expected_checks` with it.
 Both files are only read here: `spans.py` is executed from its source (no
 bytecode cache is written) and `child.py` is parsed, never run.
 """
@@ -67,6 +69,25 @@ def test_suite_budgets_name_suite_parameters():
     for name, budget in budgets.items():
         parameters = inspect.signature(getattr(suites, f"suite_{name}")).parameters
         assert set(budget) <= set(parameters), name
+
+
+def _with_budget(func, budget):
+    return lambda *args, **kwargs: func(*args, **{**kwargs, **budget})
+
+
+def test_verify_workload_reports_its_expected_checks(monkeypatch):
+    # The gate of `verify_all` wants exactly `expected_checks` distinct passed
+    # checks; a suite that gains, loses or merges a check must change both.
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    inputs = workloads["workloads"]["verify_all"]["inputs"]
+    for name, budget in inputs["suite_budgets"].items():
+        attr = f"suite_{name}"
+        monkeypatch.setattr(suites, attr, _with_budget(getattr(suites, attr), budget))
+    checks = suites.run_suites(inputs["suites"], dims=tuple(inputs["dims"]))
+    names = [f"{c.suite}.{c.name}" for c in checks]
+    assert len(names) == workloads["workloads"]["verify_all"]["expected_checks"]
+    assert len(set(names)) == len(names)
+    assert [n for n, c in zip(names, checks) if not c.passed] == []
 
 
 def test_blocked_passes_call_the_wrapped_public_names(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,10 @@ from wedgehull.experiments import CSV_HEADER
 from wedgehull.suites import SUITE_NAMES, CheckResult
 
 SEED = "20260815"
+# blake2b (16 bytes) of `verify --suite appendix`'s stdout: the grid checks'
+# details carry each least slack and its witness, so a changed grid, slack
+# expression or check order changes it
+APPENDIX_REPORT_DIGEST = "97e560fbef5e7de2b46df220cd4d1597"
 
 
 def run_cli(capsys, argv):
@@ -378,6 +383,10 @@ class TestSimulateCommand:
             ["--grid", "8,16", "--reps", "0"],
             ["--grid", "100.5,200,400"],
             ["--grid", "2,8"],  # below the d+1 floor
+            ["--grid", "8,16,32", "--ell", "7"],  # only the polygon has sides
+            ["--grid", "8,16,32", "--ell", "-3"],
+            ["--grid", "8,16,32", "--workers", "0"],
+            ["--grid", "8,16,32", "--workers", "-3"],
         ],
     )
     def test_rejected_config_exits_two(self, capsys, tmp_path, extra):
@@ -398,6 +407,11 @@ class TestVerifyCommand:
         assert report["checks"]
         assert all(c["passed"] for c in report["checks"])
         assert "[pass]" in err
+
+    def test_appendix_report_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "appendix"])
+        assert code == 0
+        assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == APPENDIX_REPORT_DIGEST
 
     def test_dim_restriction_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "appendix", "--dim", "2"])

@@ -140,6 +140,13 @@ class TestConfig:
                 model="polygon_baseline", d=2, grid=(8, 16), reps=2, master_seed=SEED, ell=2
             )
 
+    @pytest.mark.parametrize("model", ["binomial", "poisson", "halfsphere", "conjecture_probe"])
+    @pytest.mark.parametrize("ell", [7, -3])
+    def test_only_the_polygon_takes_ell(self, model, ell):
+        # a stray ell would change the config hash of an otherwise identical sweep
+        with pytest.raises(DomainError, match="only the polygon baseline takes ell"):
+            binomial_cfg(model=model, ell=ell)
+
     def test_probe_j_range(self):
         with pytest.raises(DomainError):
             ExperimentConfig(
@@ -293,6 +300,42 @@ class TestRunners:
         records = run_experiment(binomial_cfg(grid=(8, 16, 32), reps=3))
         assert len(records) == 9
         assert len(calls) == 1
+        # a Poisson summary's fit window reads the wedge measure, not a second wedge
+        calls.clear()
+        poisson = binomial_cfg(model="poisson", grid=(50.0, 100.0, 200.0), reps=3)
+        summarize(poisson, run_experiment(poisson))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(DomainError, match="workers"):
+            run_experiment(binomial_cfg(), workers=workers)
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = binomial_cfg(grid=(8, 16, 32), reps=2)
+        serial = strip_wall(run_experiment(cfg))
+        assert strip_wall(run_experiment(cfg, workers=500)) == serial
+        assert strip_wall(run_experiment(cfg, workers=4)) == serial
+        run_experiment(binomial_cfg(grid=(8,), reps=1), workers=2)  # one task runs in process
+        assert sizes == [6, 4]
 
     def test_records_recomputable_from_stream_id(self):
         cfg = binomial_cfg(grid=(24, 48))

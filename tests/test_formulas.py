@@ -1,11 +1,13 @@
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
 
 import wedgehull.formulas as formulas
+import wedgehull.suites as suites
 from wedgehull import (
-    AppendixReport,
     DomainError,
     EstimatorReport,
     SeedSpec,
@@ -19,7 +21,6 @@ from wedgehull import (
     model_constants,
     omega,
     parallelotope_volume,
-    verify_appendix_inequalities,
     wedge_measure,
 )
 
@@ -336,30 +337,45 @@ class TestAppendixF:
 
 
 class TestAppendixInequalities:
+    """The inequalities on the quotient f, as suites.suite_appendix checks them."""
+
+    NAMES = (
+        "f_minimum",
+        "angle_average",
+        "arcsin_sqrt",
+        "cosine_quadratic",
+        "norm_exercise",
+        "f_origin_value",
+        "f_edge_formula",
+    )
+
     def test_default_grid_passes(self):
-        report = verify_appendix_inequalities()
-        assert isinstance(report, AppendixReport)
-        assert report.passed
-        assert report.grid_resolution == 200
-        names = {c.name for c in report.checks}
-        assert names == {
-            "f_minimum",
-            "angle_average",
-            "arcsin_sqrt",
-            "cosine_quadratic",
-            "norm_exercise",
-        }
-        for check in report.checks:
-            assert check.min_slack > 0
-            assert all(math.isfinite(w) for w in check.witness)
-            assert len(check.witness) in (1, 2)
+        results = suites.suite_appendix()
+        assert tuple(r.name for r in results) == self.NAMES
+        assert all(r.passed and r.suite == "appendix" for r in results)
+        for result in results[:5]:  # the grid checks
+            slack, witness = re.fullmatch(r"min slack (\S+) at (\(.*\))", result.detail).groups()
+            assert float(slack) > 0
+            witness = ast.literal_eval(witness)
+            assert len(witness) in (1, 2)
+            assert all(math.isfinite(w) for w in witness)
 
     def test_finer_grid_passes(self):
-        assert verify_appendix_inequalities(grid_resolution=400).passed
+        assert all(r.passed for r in suites.suite_appendix(grid_resolution=400))
+
+    def test_a_broken_inequality_fails_under_its_own_name(self, monkeypatch):
+        real = suites.appendix_f
+        # f is broken near y = pi only: the grid minimum fails, the pinned values do not
+        monkeypatch.setattr(
+            suites, "appendix_f", lambda x, y: np.where(np.asarray(y) > 3.0, 0.0, real(x, y))
+        )
+        results = suites.suite_appendix()
+        assert tuple(r.name for r in results) == self.NAMES
+        assert [r.name for r in results if not r.passed] == ["f_minimum"]
 
     def test_resolution_guard(self):
         with pytest.raises(DomainError):
-            verify_appendix_inequalities(grid_resolution=99)
+            suites.suite_appendix(grid_resolution=99)
 
 
 def test_estimator_report_guards():
