@@ -2,7 +2,6 @@
 counts, closed-form constants, and numerical cross-checks."""
 
 from .errors import (
-    ChartSingular,
     DegenerateInput,
     DomainError,
     FitError,

@@ -15,12 +15,13 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import DomainError, WedgehullError
+from .errors import DomainError, FitError, WedgehullError
 from .experiments import (
     MODEL_SPECS,
     ExperimentConfig,
     check_workers,
     config_hash,
+    fit_window,
     run_experiment,
     summarize,
     write_csv,
@@ -147,7 +148,8 @@ def cmd_simulate(args) -> int:
     try:
         cfg = _config_from_args(args)
         check_workers(args.workers)
-    except (ValueError, KeyError, DomainError) as exc:
+        fit_window(cfg)
+    except (ValueError, KeyError, DomainError, FitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.output_path or args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")

@@ -13,10 +13,6 @@ class HalfSphereViolation(DomainError):
     """Point is not inside the open half-sphere of a gnomonic chart."""
 
 
-class ChartSingular(WedgehullError):
-    """Angular chart inversion hit a singular point in strict mode."""
-
-
 class DegenerateInput(WedgehullError):
     """Point configuration too degenerate for a reliable facet count."""
 

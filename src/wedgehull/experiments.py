@@ -388,6 +388,13 @@ def aggregate(records):
     return sizes, means, std_errors, variances, reps
 
 
+def _check_fit_sizes(sizes) -> None:
+    if len(sizes) < 3:
+        raise FitError(f"need at least 3 grid points to fit, got {len(sizes)}")
+    if any(s <= 1 for s in sizes):
+        raise FitError("sizes must exceed 1 for a log regressor")
+
+
 def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     """Weighted least squares of mean facet count against log(size)^log_power.
 
@@ -407,10 +414,7 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
         means = [means[i] for i in kept]
         variances = [variances[i] for i in kept]
         reps = [reps[i] for i in kept]
-    if len(sizes) < 3:
-        raise FitError(f"need at least 3 grid points to fit, got {len(sizes)}")
-    if any(s <= 1 for s in sizes):
-        raise FitError("sizes must exceed 1 for a log regressor")
+    _check_fit_sizes(sizes)
     x = np.log(np.asarray(sizes, dtype=float)) ** log_power
     y = np.asarray(means, dtype=float)
     w = np.asarray(reps, dtype=float) / np.maximum(np.asarray(variances), _VARIANCE_FLOOR)
@@ -437,15 +441,21 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     )
 
 
-def default_fit_window(cfg: ExperimentConfig):
-    """Grid values past the small-size transient (about 512 expected points)."""
-    if cfg.model == "poisson":
-        # a Poisson wedge has j = 2 normals, which WedgeModel requires orthogonal
-        sigma = wedge_measure(cfg.d, cfg.j)
-        window = tuple(g for g in cfg.grid if g * sigma >= DEFAULT_MIN_FIT_SIZE)
-    else:
-        window = tuple(g for g in cfg.grid if g >= DEFAULT_MIN_FIT_SIZE)
-    return window if len(window) >= 3 else cfg.grid
+def fit_window(cfg: ExperimentConfig) -> tuple:
+    """The grid values that summarize fits, checked against fit_slope's rules.
+
+    cfg.fit_window, else those past the small-size transient (about 512
+    expected points), else the whole grid; FitError if they cannot be fitted.
+    """
+    window = cfg.fit_window
+    if window is None:
+        # a Poisson grid holds intensities on a right-angled (j = 2) wedge
+        scale = wedge_measure(cfg.d, cfg.j) if cfg.model == "poisson" else 1
+        window = tuple(g for g in cfg.grid if g * scale >= DEFAULT_MIN_FIT_SIZE)
+        if len(window) < 3:
+            window = cfg.grid
+    _check_fit_sizes(window)
+    return window
 
 
 def _format_size(value) -> str:
@@ -516,7 +526,7 @@ def summarize(
     A_d.
     """
     sizes, means, std_errors, _, _ = aggregate(records)
-    window = cfg.fit_window if cfg.fit_window is not None else default_fit_window(cfg)
+    window = fit_window(cfg)
     fit = fit_slope(records, window)
     summary = {
         "config": {**cfg.to_dict(), "hash": config_hash(cfg)},

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .geometry import BLOCK_ROWS, omega, row_blocks
+from .geometry import BLOCK_ROWS, determinant, omega, row_blocks
 from .sampling import SeedSpec, _beta_prime
 
 # Samples per substream of estimate_A_d: it fixes which draws each sample
@@ -81,22 +81,6 @@ def _svd_volume(vectors: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, volume)
 
 
-def _square_volume(stacks: np.ndarray) -> np.ndarray:
-    """|det| of a (count, k, k) stack: closed forms for k = 2 and 3, LU beyond."""
-    k = stacks.shape[-1]
-    if k == 2:
-        a, b, c, d = stacks[:, 0, 0], stacks[:, 0, 1], stacks[:, 1, 0], stacks[:, 1, 1]
-        return np.abs(a * d - b * c)
-    if k == 3:
-        r0, r1, r2 = stacks[:, 0], stacks[:, 1], stacks[:, 2]
-        return np.abs(
-            r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
-            - r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
-            + r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0])
-        )
-    return np.abs(np.linalg.det(stacks))
-
-
 def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     """Volume spanned by row vectors, batched over leading axes.
 
@@ -125,7 +109,7 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     if m < k:
         return _svd_volume(vectors)[()]
     stacks = vectors.reshape(-1, m, k)
-    volume = _square_volume(stacks)
+    volume = np.abs(determinant(stacks))
     scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (k / 2.0)
     # negated so that non-finite and overflowed stacks also take the SVD path
     unsure = ~(volume > 1e-13 * scale)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartSingular, DomainError, HalfSphereViolation
+from .errors import DomainError, HalfSphereViolation
 
 # Shared tolerances, fixed in one place.
 UNIT_NORM_TOL = 1e-12
@@ -51,6 +51,38 @@ def row_blocks(n: int) -> list:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def row_norms(block: np.ndarray) -> np.ndarray:
+    """Row norms of a C-ordered block, bit-equal to np.linalg.norm(block, axis=1).
+
+    That call reduces each short row in its own pairwise_sum, which costs
+    far more per row than the arithmetic.  Below 8 columns pairwise_sum adds
+    in sequence, so summing whole columns in sequence gives the same bits
+    for a fraction of the time; wider blocks (d >= 7) go to numpy itself.
+    """
+    if block.shape[1] >= 8:
+        return np.linalg.norm(block, axis=1)
+    total = block[:, 0] * block[:, 0]
+    for c in range(1, block.shape[1]):
+        total += block[:, c] * block[:, c]
+    return np.sqrt(total, out=total)
+
+
+def determinant(stacks: np.ndarray) -> np.ndarray:
+    """Signed determinants of a (count, k, k) stack: closed forms for k = 2, 3, LU beyond."""
+    k = stacks.shape[-1]
+    if k == 2:
+        a, b, c, d = stacks[:, 0, 0], stacks[:, 0, 1], stacks[:, 1, 0], stacks[:, 1, 1]
+        return a * d - b * c
+    if k == 3:
+        r0, r1, r2 = stacks[:, 0], stacks[:, 1], stacks[:, 2]
+        return (
+            r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
+            - r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
+            + r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0])
+        )
+    return np.linalg.det(stacks)
 
 
 def omega(k: int) -> float:
@@ -222,12 +254,11 @@ def normal_from_angles(phi: float, psi: float, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def angles_from_normal(z: np.ndarray, canonicalize: bool = True) -> WedgeCoords:
+def angles_from_normal(z: np.ndarray) -> WedgeCoords:
     """Invert the angular chart on the branch z_(d+1) <= 0.
 
-    Singular inputs (psi ~ 0, or sin(phi) ~ 0 where u is unconstrained) are
-    canonicalized to phi=0, u=e_1 with chart_degenerate set; pass
-    canonicalize=False to raise ChartSingular instead.
+    Where sin(phi) ~ 0 leaves u unconstrained, u = e_1 and chart_degenerate
+    is set; where psi ~ 0 leaves phi unconstrained as well, also phi = 0.
     """
     z = _check_unit(z, "z")
     d = z.size - 1
@@ -236,19 +267,12 @@ def angles_from_normal(z: np.ndarray, canonicalize: bool = True) -> WedgeCoords:
     if z[d] > CHART_TOL:
         raise DomainError("z_(d+1) > 0: apply the antipodal map before inverting")
     psi = math.acos(min(max(-z[d], 0.0), 1.0))
-    e1 = np.zeros(d - 1)
-    e1[0] = 1.0
-    sin_psi = float(np.linalg.norm(z[:d]))
-    if sin_psi < CHART_TOL:
-        if not canonicalize:
-            raise ChartSingular("psi ~ 0: phi and u are unconstrained")
-        return WedgeCoords(0.0, psi, e1, chart_degenerate=True)
     head = float(np.linalg.norm(z[: d - 1]))
     phi = math.atan2(head, -z[d - 1])
+    if float(np.linalg.norm(z[:d])) < CHART_TOL:
+        phi = 0.0  # psi ~ 0 leaves phi free too; head <= sin(psi) is then tiny as well
     if head < CHART_TOL:
-        if not canonicalize:
-            raise ChartSingular("sin(phi) ~ 0: u is unconstrained")
-        return WedgeCoords(phi, psi, e1, chart_degenerate=True)
+        return WedgeCoords(phi, psi, np.eye(d - 1)[0], chart_degenerate=True)
     return WedgeCoords(phi, psi, z[: d - 1] / head)
 
 

@@ -6,8 +6,8 @@ on one side.  facets_ambient applies this definition to every d-subset in
 the ambient space; facets_projected maps the cloud through the gnomonic
 projection at the wedge center, where spherical facets correspond one to
 one with Euclidean hull facets, and reads them off a planar chain (d=2)
-or Qhull (d >= 3).  The two implementations share no geometry code and
-serve as mutual oracles.
+or Qhull (d >= 3).  The two routes share no facet code and serve as
+mutual oracles.
 
 Facet identity is the sorted tuple of input indices; orientation is
 discarded.  Configurations with ambiguous signs (probability zero for the
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, ResourceLimit
-from .geometry import BLOCK_ROWS, WedgeModel, gnomonic_project, row_blocks
+from .geometry import BLOCK_ROWS, WedgeModel, determinant, gnomonic_project, row_blocks, row_norms
 from .sampling import SampleCloud
 
 SIGN_TOL = 1e-10
@@ -76,7 +76,7 @@ def _generalized_cross(stack: np.ndarray) -> np.ndarray:
     normals = np.empty((m, amb))
     for i in range(amb):
         minor = np.delete(stack, i, axis=2)
-        normals[:, i] = (-1.0) ** i * np.linalg.det(minor)
+        normals[:, i] = (-1.0) ** i * determinant(minor)
     return normals
 
 
@@ -116,7 +116,7 @@ def facets_ambient(cloud) -> FacetSet:
     for subsets in _subset_batches(n, d):
         stack = points[subsets]
         normals = _generalized_cross(stack)
-        z_norms = np.linalg.norm(normals, axis=1)
+        z_norms = row_norms(normals)
         dots = normals @ points.T
         scale = np.maximum(np.abs(dots).max(axis=1), z_norms)
         thr = SIGN_TOL * np.maximum(scale, 1e-300)

@@ -20,6 +20,7 @@ from .geometry import (
     WedgeModel,
     omega,
     row_blocks,
+    row_norms,
     wedge_contains,
 )
 
@@ -87,27 +88,11 @@ class SampleCloud:
         # Written as not (... <= tol) so that NaN and inf rows count as non-unit.
         for rows in row_blocks(len(self)):
             block = self.points[rows]
-            norms = _row_norms(block)
+            norms = row_norms(block)
             if not np.max(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:
                 raise InternalError("sample cloud contains non-unit points")
             if not np.all(wedge_contains(self.model, block)):
                 raise InternalError("sample cloud contains points outside the wedge")
-
-
-def _row_norms(block: np.ndarray) -> np.ndarray:
-    """Row norms of a C-ordered block, bit-equal to np.linalg.norm(block, axis=1).
-
-    That call reduces each short row in its own pairwise_sum, which costs
-    far more per row than the arithmetic.  Below 8 columns pairwise_sum adds
-    in sequence, so summing whole columns in sequence gives the same bits
-    for a fraction of the time; wider blocks (d >= 7) go to numpy itself.
-    """
-    if block.shape[1] >= 8:
-        return np.linalg.norm(block, axis=1)
-    total = block[:, 0] * block[:, 0]
-    for c in range(1, block.shape[1]):
-        total += block[:, c] * block[:, c]
-    return np.sqrt(total, out=total)
 
 
 def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -118,7 +103,7 @@ def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
     tiny = []
     for rows in row_blocks(count):
         block = x[rows]
-        norms = _row_norms(block)
+        norms = row_norms(block)
         small = norms < 1e-300
         if small.any():  # never in practice; keeps the math airtight
             tiny.extend(rows.start + np.flatnonzero(small))
@@ -127,7 +112,7 @@ def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
     bad = np.array(tiny, dtype=np.intp)
     while bad.size:
         fresh = rng.standard_normal((bad.size, d + 1))
-        norms = _row_norms(fresh)
+        norms = row_norms(fresh)
         good = norms >= 1e-300
         x[bad[good]] = fresh[good] / norms[good, None]
         bad = bad[~good]

@@ -21,7 +21,7 @@ from wedgehull import (
     run_experiment,
 )
 from wedgehull.cli import main
-from wedgehull.experiments import aggregate, default_fit_window
+from wedgehull.experiments import aggregate, fit_window
 from wedgehull.suites import (
     DEFAULT_MASTER_SEED,
     suite_appendix,
@@ -56,7 +56,7 @@ def sweep(model, grid, reps, **extra):
         model=model, d=2, grid=grid, reps=reps, master_seed=DEFAULT_MASTER_SEED, **extra
     )
     records = run_experiment(cfg)
-    return cfg, records, fit_slope(records, default_fit_window(cfg))
+    return cfg, records, fit_slope(records, fit_window(cfg))
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,9 @@ SEED = "20260815"
 # details carry each least slack and its witness, so a changed grid, slack
 # expression or check order changes it
 APPENDIX_REPORT_DIGEST = "97e560fbef5e7de2b46df220cd4d1597"
+# and of `verify --suite hull`'s: a route mismatch, a skipped degenerate
+# cloud or an Euler failure at d = 2 or 3 changes it
+HULL_REPORT_DIGEST = "f3baa0afc6386ea5e3a81d9293db846f"
 
 
 def run_cli(capsys, argv):
@@ -387,6 +390,10 @@ class TestSimulateCommand:
             ["--grid", "8,16,32", "--ell", "-3"],
             ["--grid", "8,16,32", "--workers", "0"],
             ["--grid", "8,16,32", "--workers", "-3"],
+            # summaries that could not be fitted: refused before any replicate
+            ["--grid", "4096,8192"],
+            ["--grid", "8,16,32", "--fit-window", "16,32"],
+            ["--model", "poisson", "--gamma-grid", "0.25,0.5,1.0"],
         ],
     )
     def test_rejected_config_exits_two(self, capsys, tmp_path, extra):
@@ -412,6 +419,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--suite", "appendix"])
         assert code == 0
         assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == APPENDIX_REPORT_DIGEST
+
+    def test_hull_report_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "hull"])
+        assert code == 0
+        assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == HULL_REPORT_DIGEST
 
     def test_dim_restriction_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "appendix", "--dim", "2"])

@@ -26,7 +26,7 @@ from wedgehull import (
 from wedgehull.experiments import (
     CSV_HEADER,
     aggregate,
-    default_fit_window,
+    fit_window,
     read_csv,
     write_csv,
     write_summary,
@@ -560,7 +560,7 @@ class TestAggregateAndFit:
             reps=200,
             master_seed=SEED,
         )
-        fit = fit_slope(run_experiment(cfg), default_fit_window(cfg))
+        fit = fit_slope(run_experiment(cfg), fit_window(cfg))
         a3 = estimate_A_d(3, 10**6, SeedSpec(SEED, 0)).value
         target = 4.0 * omega(2) * a3 / 3.0
         assert abs(fit.slope - target) <= 0.25 * target
@@ -583,22 +583,38 @@ class TestAggregateAndFit:
 class TestDefaultWindow:
     def test_binomial_threshold(self):
         cfg = binomial_cfg(grid=(128, 256, 512, 1024, 2048))
-        assert default_fit_window(cfg) == (512, 1024, 2048)
+        assert fit_window(cfg) == (512, 1024, 2048)
 
     def test_poisson_uses_expected_size(self):
         cfg = ExperimentConfig(
             model="poisson", d=2, grid=(200.0, 400.0, 800.0), reps=1, master_seed=SEED
         )
-        assert default_fit_window(cfg) == (200.0, 400.0, 800.0)
+        assert fit_window(cfg) == (200.0, 400.0, 800.0)
         near = ExperimentConfig(
             model="poisson", d=2, grid=(100.0, 200.0, 400.0), reps=1, master_seed=SEED
         )
         # 100 pi < 512 would leave two points, so the full grid comes back
-        assert default_fit_window(near) == (100.0, 200.0, 400.0)
+        assert fit_window(near) == (100.0, 200.0, 400.0)
 
     def test_small_grid_falls_back(self):
         cfg = binomial_cfg(grid=(4, 8, 16))
-        assert default_fit_window(cfg) == (4, 8, 16)
+        assert fit_window(cfg) == (4, 8, 16)
+
+    def test_explicit_window_is_kept(self):
+        cfg = binomial_cfg(grid=(128, 256, 512, 1024), fit_window=(128, 256, 512))
+        assert fit_window(cfg) == (128, 256, 512)
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (dict(grid=(4096, 8192)), "at least 3"),
+            (dict(grid=(8, 16, 32), fit_window=(16, 32)), "at least 3"),
+            (dict(model="poisson", grid=(0.25, 0.5, 1.0)), "exceed 1"),
+        ],
+    )
+    def test_unfittable_window_raises(self, cfg, message):
+        with pytest.raises(FitError, match=message):
+            fit_window(binomial_cfg(**cfg))
 
 
 class TestPersistence:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 
@@ -227,6 +228,24 @@ class TestParallelotopeVolume:
     def test_too_many_vectors(self):
         with pytest.raises(DomainError):
             parallelotope_volume(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ((64, 2, 2), "f46d5e3deeccd71cd609b8caeb392a38"),
+            ((64, 3, 3), "b55ee516a87e57080a65f1133911ef3b"),
+            ((64, 4, 4), "aa99ea7ac134a17a314323be6379ec71"),
+            ((64, 2, 3), "db4f568df041d1f96bca471f48fd12c6"),
+            ((64, 3, 5), "ba66c6d171a861a24715d66bb9c82397"),
+        ],
+    )
+    def test_volumes_are_pinned(self, shape, digest):
+        vectors = np.random.default_rng(7).standard_normal(shape)
+        # every fourth stack is rank-deficient up to rounding, for the SVD rule
+        vectors[::4, -1] = vectors[::4, 0] / 3.0
+        vols = parallelotope_volume(vectors)
+        assert np.all(vols[::4] == 0.0)
+        assert hashlib.blake2b(vols.tobytes(), digest_size=16).hexdigest() == digest
 
 
 class TestEstimateAd:

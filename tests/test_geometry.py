@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wedgehull import (
-    ChartSingular,
     DomainError,
     HalfSphereViolation,
     SampleCloud,
@@ -24,6 +23,8 @@ from wedgehull import (
     sample_uniform_sphere,
     wedge_contains,
 )
+
+from wedgehull.geometry import determinant
 
 from .conftest import make_seed
 
@@ -171,10 +172,6 @@ class TestChart:
         assert coords.phi == 0.0 and coords.psi == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(coords.u, [1.0])
 
-    def test_pole_raises_without_canonicalization(self):
-        with pytest.raises(ChartSingular):
-            angles_from_normal(np.array([0.0, 0.0, -1.0]), canonicalize=False)
-
     def test_equatorial_direction_maps_to_right_angles(self):
         coords = angles_from_normal(np.array([1.0, 0.0, 0.0, 0.0]))
         assert coords.phi == pytest.approx(math.pi / 2, abs=1e-12)
@@ -312,3 +309,14 @@ class TestSeedSpecBasics:
         a = SeedSpec(5, 7).generator().random(16)
         b = SeedSpec(5, 8).generator().random(16)
         assert not np.array_equal(a, b)
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_linalg_det(self, rng, k):
+        mats = rng.normal(size=(500, k, k))
+        got = determinant(mats)
+        expected = np.linalg.det(mats)
+        assert got.shape == (500,)
+        assert np.array_equal(np.sign(got), np.sign(expected))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)

@@ -26,7 +26,7 @@ from wedgehull import (
     sample_uniform_wedge,
 )
 from wedgehull.geometry import BLOCK_ROWS
-from wedgehull.hull import _hull2d, _orient, _prune_interior
+from wedgehull.hull import _generalized_cross, _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
 
@@ -598,6 +598,23 @@ class TestResourceAndInputGuards:
         fs = facets_projected(cloud)
         assert calls == [cloud]
         assert fs.facets == frozenset({(0, 1, 2)}) and fs.vertex_count == 3
+
+
+class TestGeneralizedCross:
+    def test_planar_normals_are_the_cross_product(self, rng):
+        stack = rng.normal(size=(1000, 2, 3))
+        got = _generalized_cross(stack)
+        expected = np.cross(stack[:, 0], stack[:, 1])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_normals_are_orthogonal_to_every_row(self, rng, d):
+        stack = rng.normal(size=(1000, d, d + 1))
+        normals = _generalized_cross(stack)
+        dots = np.einsum("mda,ma->md", stack, normals)
+        scale = np.linalg.norm(stack, axis=2) * np.linalg.norm(normals, axis=1)[:, None]
+        assert np.all(np.abs(dots) <= 1e-13 * scale)
+        assert np.all(np.linalg.norm(normals, axis=1) > 0.0)
 
 
 B = BLOCK_ROWS

@@ -20,7 +20,7 @@ from wedgehull import (
     sample_uniform_sphere,
     sample_uniform_wedge,
 )
-from wedgehull.geometry import BLOCK_ROWS, row_blocks
+from wedgehull.geometry import BLOCK_ROWS, row_blocks, row_norms
 
 from .conftest import make_seed
 
@@ -387,5 +387,5 @@ class TestRowNorms:
             scale = rng.choice([1e-150, 1.0, 1e150], size=(rows, cols))
             block = rng.standard_normal((rows, cols)) * scale
             expected = np.linalg.norm(block, axis=1)
-            got = sampling._row_norms(block)
+            got = row_norms(block)
             assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), cols
