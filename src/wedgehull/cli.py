@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,31 +36,28 @@ OUTPUT_DIR_ENV = "WEDGEHULL_OUTPUT_DIR"
 
 
 def parse_grid(text: str):
-    """Parse `start:stop:xF` geometric progressions or comma lists."""
+    """Parse `start:stop:xF` geometric progressions or comma lists as floats.
+
+    The numbers get their type from ExperimentConfig: point counts are ints
+    and intensities floats, however they were spelled here.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("x"):
             raise ValueError(f"grid must look like start:stop:xF, got {text!r}")
-        start_s, stop_s, factor_s = parts[0], parts[1], parts[2][1:]
-        factor = float(factor_s)
-        if factor <= 1.0:
+        start, stop, factor = float(parts[0]), float(parts[1]), float(parts[2][1:])
+        if not factor > 1.0:
             raise ValueError("grid factor must exceed 1")
-        integral = "." not in start_s and "." not in stop_s and float(factor).is_integer()
-        start, stop = float(start_s), float(stop_s)
-        if start <= 0 or stop < start:
-            raise ValueError("grid needs 0 < start <= stop")
+        if not 0 < start <= stop < math.inf:
+            raise ValueError("grid needs 0 < start <= stop < inf")
         values = []
         v = start
         while v <= stop * (1 + 1e-12):
-            values.append(int(round(v)) if integral else v)
+            values.append(v)
             v *= factor
         return tuple(values)
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        values.append(float(token) if "." in token or "e" in token.lower() else int(token))
-    return tuple(values)
+    return tuple(float(token) for token in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:

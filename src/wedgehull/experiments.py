@@ -77,14 +77,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(name: str, values, counts: bool) -> tuple:
+def _numbers(name: str, values, kind: str) -> tuple:
+    """The one rule typing grid, fit_window and read-back sizes; the type keys streams."""
     if not isinstance(values, (list, tuple)) or not all(
         _is_int(v) or (isinstance(v, float) and math.isfinite(v)) for v in values
     ):
         raise DomainError(f"{name} must be a list of finite numbers, got {values!r}")
-    if counts:  # a point count is one sweep (hash, streams) however spelled: 8.0 is 8
-        return tuple(int(v) if float(v).is_integer() else v for v in values)
-    return tuple(float(v) for v in values)  # an intensity is a real number: 10 is 10.0
+    if kind == "poisson":  # an intensity is a real number: 10 is 10.0
+        return tuple(float(v) for v in values)
+    if not all(_is_int(v) or v.is_integer() for v in values):
+        raise DomainError(f"{name} values are point counts and must be whole, got {values!r}")
+    return tuple(int(v) for v in values)  # one sweep (hash, streams) however spelled: 8.0 is 8
 
 
 @dataclass(frozen=True)
@@ -123,19 +126,16 @@ class ExperimentConfig:
             raise DomainError(f"only the polygon baseline takes ell, not {self.model}")
         elif spec.j != "j":
             object.__setattr__(self, "j", spec.j)
-        counts = spec.kind != "poisson"
-        grid = _numbers("grid", self.grid, counts)
+        grid = _numbers("grid", self.grid, spec.kind)
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
-        if counts and not all(_is_int(g) for g in grid):
-            raise DomainError(f"{self.model} grid values are point counts and must be whole")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise DomainError("master_seed must fit in 64 bits")
         if self.fit_window is not None:
-            window = _numbers("fit_window", self.fit_window, counts)
+            window = _numbers("fit_window", self.fit_window, spec.kind)
             object.__setattr__(self, "fit_window", window)
             if not set(window) <= set(grid):
                 raise DomainError("fit_window must be a subset of the grid")
@@ -406,14 +406,10 @@ def fit_slope(records, window=None, log_power: float = 1.0) -> SlopeFit:
     """
     if log_power <= 0.0:
         raise FitError("regressor power must be positive")
-    sizes, means, _, variances, reps = aggregate(records)
     if window is not None:
         allowed = set(window)
-        kept = [i for i, s in enumerate(sizes) if s in allowed]
-        sizes = [sizes[i] for i in kept]
-        means = [means[i] for i in kept]
-        variances = [variances[i] for i in kept]
-        reps = [reps[i] for i in kept]
+        records = [r for r in records if r.size_param in allowed]
+    sizes, means, _, variances, reps = aggregate(records)
     _check_fit_sizes(sizes)
     x = np.log(np.asarray(sizes, dtype=float)) ** log_power
     y = np.asarray(means, dtype=float)
@@ -487,7 +483,7 @@ def write_csv(path, records) -> None:
 
 
 def read_csv(path, config_hash: str = ""):
-    """Rebuild records from the CSV columns; the config digest is not stored."""
+    """Rebuild records, sizes typed as their sweep types them; the digest is not stored."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != CSV_HEADER:
@@ -495,13 +491,16 @@ def read_csv(path, config_hash: str = ""):
     records = []
     for line in lines[1:]:
         model, d, j, size, rep, facets, vertices, stream, wall, flag = line.split(",")
+        spec = MODEL_SPECS.get(model)
+        if spec is None:
+            raise DomainError(f"unknown model {model!r} in records file")
         records.append(
             RunRecord(
                 config_hash=config_hash,
                 model=model,
                 d=int(d),
                 j=int(j),
-                size_param=float(size) if "." in size or "e" in size else int(size),
+                size_param=_numbers("size_param", [float(size)], spec.kind)[0],
                 rep_index=int(rep),
                 facet_count=int(facets),
                 vertex_count=int(vertices),

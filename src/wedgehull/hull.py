@@ -46,9 +46,6 @@ class FacetSet:
     def facet_count(self) -> int:
         return len(self.facets)
 
-    def vertex_indices(self) -> tuple:
-        return tuple(sorted({i for facet in self.facets for i in facet}))
-
 
 def _cloud_points(cloud) -> np.ndarray:
     points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, float)

@@ -28,7 +28,7 @@ from .geometry import (
     orthonormal_complement,
     wedge_contains,
 )
-from .sampling import _BATCH, SeedSpec, _unit_sphere
+from .sampling import _BATCH, SeedSpec, sample_uniform_sphere
 
 _MIN_SAMPLES = 10**4
 _QUAD_RTOL = 1e-8
@@ -48,8 +48,8 @@ def mc_cap_measure(
     total = omega(model.d + 1)
     hits = 0
     for chunk_index, done in enumerate(range(0, sample_count, _BATCH)):
-        rng = seed.substream("cap_measure", chunk_index).generator()
-        points = _unit_sphere(rng, model.d, min(_BATCH, sample_count - done))
+        chunk_seed = seed.substream("cap_measure", chunk_index)
+        points = sample_uniform_sphere(model.d, chunk_seed, min(_BATCH, sample_count - done))
         hits += int((wedge_contains(model, points) & (points @ z >= 0.0)).sum())
     p = hits / sample_count
     std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
@@ -115,7 +115,7 @@ def subsphere_wedge_points(
     slice degenerates (psi = 0, see _lune_frame).
     """
     basis, plane, start, width = _lune_frame(d, phi, psi)
-    coords = _unit_sphere(seed.substream("subsphere").generator(), d - 1, count)
+    coords = sample_uniform_sphere(d - 1, seed.substream("subsphere"), count)
     inplane = coords @ plane.T
     radius = np.hypot(inplane[:, 0], inplane[:, 1])
     theta = start + (np.arctan2(inplane[:, 1], inplane[:, 0]) + math.pi) * (

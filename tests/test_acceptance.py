@@ -55,7 +55,8 @@ def sweep(model, grid, reps, **extra):
     cfg = ExperimentConfig(
         model=model, d=2, grid=grid, reps=reps, master_seed=DEFAULT_MASTER_SEED, **extra
     )
-    records = run_experiment(cfg)
+    # records do not depend on the worker count (criterion 12 checks it)
+    records = run_experiment(cfg, workers=2)
     return cfg, records, fit_slope(records, fit_window(cfg))
 
 

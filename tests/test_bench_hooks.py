@@ -117,3 +117,30 @@ def test_blocked_passes_call_the_wrapped_public_names(monkeypatch):
     assert rows["contains"] == n
     hull.facets_projected(cloud)
     assert rows["project"] == n
+
+
+def test_oracles_draw_through_the_wrapped_sphere_sampler(monkeypatch):
+    # The tracer counts sphere points by rebinding `sample_uniform_sphere`,
+    # so the oracles must draw every row through that name, or their draws
+    # would show as oracle self time and not under `sampling.points`.
+    import numpy as np
+
+    import wedgehull.oracles as oracles
+    from wedgehull import SeedSpec, WedgeModel
+    from wedgehull.sampling import _BATCH
+
+    rows = []
+
+    def counting(d, seed, count):
+        rows.append(count)
+        return sampler(d, seed, count)
+
+    sampler = oracles.sample_uniform_sphere
+    monkeypatch.setattr(oracles, "sample_uniform_sphere", counting)
+    count = _BATCH + 7  # two chunks
+    z = np.array([0.0, 0.0, 1.0])
+    oracles.mc_cap_measure(WedgeModel.right_angle(2), z, count, SeedSpec(1, 2))
+    assert sum(rows) == count and len(rows) == 2
+    rows.clear()
+    points = oracles.subsphere_wedge_points(3, 0.7, 0.4, 500, SeedSpec(1, 3))
+    assert rows == [500] and points.shape == (500, 4)

@@ -77,6 +77,16 @@ class TestParseGrid:
         assert parse_grid("2.5, 5.0") == (2.5, 5.0)
         assert parse_grid("1e2,2e2") == (100.0, 200.0)
 
+    def test_values_are_plain_floats(self):
+        # ExperimentConfig types them; the spelling decides nothing
+        for text in ("128:1024:x2", "16,32,64", "1e2,2e2", "2.5, 5"):
+            assert {type(v) for v in parse_grid(text)} == {float}
+
+    def test_rejects_unbounded_progressions(self):
+        for text in ("8:inf:x2", "inf:inf:x2", "nan:16:x2", "8:16:xnan"):
+            with pytest.raises(ValueError):
+                parse_grid(text)
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_grid("10:100")
@@ -210,6 +220,27 @@ class TestSimulateCommand:
             assert code == 0
             (csv_path,) = out_dir.glob("*.csv")
             outputs.append((out, csv_path.name, strip_wall_column(csv_path.read_text())))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "option, spellings",
+        [
+            (("--model", "poisson", "--gamma-grid"), ("20:160:x2", "20,40,80,160.0")),
+            (("--model", "polygon", "--grid"), ("1e2,2e2,4e2", "100,200,400")),
+        ],
+    )
+    def test_grid_spellings_are_one_sweep(self, capsys, tmp_path, option, spellings):
+        outputs = []
+        for index, grid in enumerate(spellings):
+            out_dir = tmp_path / str(index)
+            argv = ["simulate", *option, grid, "--reps", "3", "--seed", SEED, "--out"]
+            code, out, _ = run_cli(capsys, [*argv, str(out_dir)])
+            assert code == 0
+            (csv_path,) = out_dir.glob("*.csv")
+            summary = json.loads(out)
+            outputs.append(
+                (summary["config"]["hash"], csv_path.name, strip_wall_column(csv_path.read_text()))
+            )
         assert outputs[0] == outputs[1]
 
     def test_config_missing_fields_exits_two(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ from wedgehull import (
     SeedSpec,
     WedgeModel,
     config_hash,
+    derive_stream,
     facets_projected,
     fit_slope,
     run_experiment,
@@ -97,6 +98,10 @@ class TestConfig:
         with pytest.raises(DomainError):
             binomial_cfg(grid=(100.5, 200), **extra)
         assert binomial_cfg(grid=(100.0, 200), **extra).grid == (100.0, 200)
+
+    def test_fixed_size_fit_window_must_be_whole(self):
+        with pytest.raises(DomainError, match="fit_window values are point counts"):
+            binomial_cfg(grid=(8, 16, 32), fit_window=(8, 16.5, 32))
 
     def test_poisson_grid_may_be_fractional(self):
         assert binomial_cfg(model="poisson", grid=(10.5, 20.25)).grid == (10.5, 20.25)
@@ -638,6 +643,29 @@ class TestPersistence:
         write_csv(path, records)
         redo = read_csv(path)
         assert [r.size_param for r in redo] == [r.size_param for r in records]
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [("poisson", (10.0, 20.0, 40.0)), ("binomial", (8, 16, 32))],
+    )
+    def test_read_back_sizes_keep_the_sweep_type(self, tmp_path, model, grid):
+        # `==` cannot see a type change (10 == 10.0), but the stream id can
+        cfg = ExperimentConfig(model=model, d=2, grid=grid, reps=2, master_seed=SEED)
+        path = tmp_path / "records.csv"
+        write_csv(path, run_experiment(cfg))
+        redo = read_csv(path)
+        kind = experiments.MODEL_SPECS[model].kind
+        assert [type(r.size_param) for r in redo] == [type(grid[0])] * len(redo)
+        assert [r.stream_id for r in redo] == [
+            derive_stream(kind, 2, 2, "default", r.size_param, r.rep_index, r.flag)
+            for r in redo
+        ]
+
+    def test_read_rejects_foreign_model(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\nnonesuch,2,2,8,0,3,3,1,0.5,0\n")
+        with pytest.raises(DomainError, match="nonesuch"):
+            read_csv(path)
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -565,7 +565,7 @@ class TestInvariances:
 
     def test_vertex_count_matches_index_union(self, wedge2):
         fs = facets_ambient(cloud_of(wedge2, ("vc",), 25))
-        assert fs.vertex_count == len(fs.vertex_indices())
+        assert fs.vertex_count == len({i for facet in fs.facets for i in facet})
 
 
 class TestResourceAndInputGuards:

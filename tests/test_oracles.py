@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,9 +8,11 @@ import scipy.integrate
 import scipy.stats
 
 import wedgehull.oracles as oracles
+import wedgehull.suites as suites
 from wedgehull import (
     DomainError,
     LimitLemmaReport,
+    SeedSpec,
     WedgeModel,
     i2_closed,
     mc_binomial_limit_lemma,
@@ -309,3 +313,25 @@ class TestLimitLemma:
         assert isinstance(report, LimitLemmaReport)
         with pytest.raises(AttributeError):
             report.target = 2.0
+
+
+class TestPinnedBits:
+    """Oracle outputs pinned bit for bit, so a change in how they draw shows."""
+
+    def test_cap_measure_and_subsphere_draws(self):
+        z = np.array([0.6, 0.0, 0.0, 0.8])
+        # 3 * 10^5 samples: three chunks, each on its own substream
+        est = mc_cap_measure(WedgeModel.right_angle(3), z, 3 * 10**5, SeedSpec(7, 11))
+        assert (est.value, est.std_error) == (3.9061920298631465, 0.014358134039016422)
+        points = subsphere_wedge_points(3, 0.7, 0.4, 1000, SeedSpec(7, 12))
+        digest = hashlib.blake2b(points.tobytes(), digest_size=16).hexdigest()
+        assert digest == "bc5abe58a89e394f519d939f6eb87950"
+
+    def test_verify_all_budget_checks(self):
+        # suite_i2 and suite_i1 at the sample counts of the verify_all benchmark
+        checks = suites.suite_i2(sample_count=10**5) + suites.suite_i1(
+            dims=(2,), sample_count=10**4
+        )
+        text = json.dumps([c.to_dict() for c in checks])
+        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+        assert digest == "04d6f0d4d3bb9fd4562784b14f5e2d0b"
