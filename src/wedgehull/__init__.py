@@ -23,7 +23,6 @@ from .formulas import (
     i2_complement,
     model_constants,
     parallelotope_volume,
-    wedge_measure,
 )
 from .geometry import (
     WedgeCoords,
@@ -38,6 +37,7 @@ from .geometry import (
     opening_angle,
     orthonormal_complement,
     wedge_contains,
+    wedge_measure,
 )
 from .experiments import (
     ExperimentConfig,

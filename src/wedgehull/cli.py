@@ -178,7 +178,7 @@ def cmd_constants(args) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    constants = model_constants(args.dim, report)
+    constants = model_constants(args.dim, report.value)
     payload = {
         "d": args.dim,
         "samples": args.samples,

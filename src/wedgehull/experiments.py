@@ -18,14 +18,14 @@ import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, FitError
-from .formulas import EXACT_A_D, estimate_A_d, model_constants, wedge_measure
-from .geometry import WedgeModel
+from .formulas import EXACT_A_D, estimate_A_d, model_constants
+from .geometry import MAX_POINTS, WedgeModel, wedge_measure
 from .hull import _hull2d, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_poisson_wedge, sample_uniform_wedge
 
@@ -130,6 +130,8 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
+        if spec.kind != "poisson" and grid[-1] > MAX_POINTS:
+            raise DomainError(f"grid point counts must be at most {MAX_POINTS:.0e}")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
         if not 0 <= self.master_seed < 2**64:
@@ -191,9 +193,8 @@ def _runs_as(cfg: ExperimentConfig) -> str:
     """The row that samples `cfg`'s clouds.
 
     A probe without normals runs on the standard wedge of its j, so its
-    records (hashes and streams included) are bit-identical to a direct run
-    of that model, which is the consistency check the probe exists to
-    preserve.
+    records (streams included) are bit-identical to a direct run of that
+    model, which is the consistency check the probe exists to preserve.
     """
     if MODEL_SPECS[cfg.model].j != "j" or cfg.normals is not None:
         return cfg.model
@@ -207,7 +208,6 @@ def _runs_as(cfg: ExperimentConfig) -> str:
 class RunRecord:
     """One facet count: a single cloud at one grid value."""
 
-    config_hash: str
     model: str
     d: int
     j: int
@@ -301,7 +301,6 @@ def _execute_task(payload: dict) -> RunRecord:
             continue
         wall = (time.perf_counter() - start) * 1000.0
         return RunRecord(
-            config_hash=payload["config_hash"],
             model=payload["record_model"],
             d=payload["d"],
             j=payload["j"],
@@ -339,14 +338,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         import scipy.spatial  # noqa: F401
 
     record_model = _runs_as(cfg)
-    digest = config_hash(replace(cfg, model=record_model))
     kind = MODEL_SPECS[record_model].kind
     # one wedge (and so one projection basis) per sweep; a polygon has none
     model = None if kind == "polygon" else _build_model(cfg.d, cfg.j, cfg.normals)
     token = () if kind == "polygon" else (_normals_token(cfg.normals),)
     payloads = [
         {
-            "config_hash": digest,
             "record_model": record_model,
             "kind": kind,
             "d": cfg.d,
@@ -482,8 +479,8 @@ def write_csv(path, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_csv(path, config_hash: str = ""):
-    """Rebuild records, sizes typed as their sweep types them; the digest is not stored."""
+def read_csv(path):
+    """Rebuild records, sizes typed as their sweep types them."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != CSV_HEADER:
@@ -496,7 +493,6 @@ def read_csv(path, config_hash: str = ""):
             raise DomainError(f"unknown model {model!r} in records file")
         records.append(
             RunRecord(
-                config_hash=config_hash,
                 model=model,
                 d=int(d),
                 j=int(j),

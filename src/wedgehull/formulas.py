@@ -1,11 +1,12 @@
 """Closed-form quantities of the facet-count analysis.
 
-Covers the wedge measure, the cap measure I2 of a wedge sliced by a
-hyperplane together with its lower bound and small-angle asymptotics,
-Girard's triangle area, the parallelotope constant A_d with the derived
-slope constant c_{d,2}, and the stabilized quotient f(x, y) whose lower
-bound drives the small-angle estimates.  The appendix inequalities
-themselves are checked on interior grids by suites.suite_appendix.
+Covers the cap measure I2 of a wedge sliced by a hyperplane together
+with its lower bound and small-angle asymptotics, Girard's triangle area,
+the parallelotope constant A_d with the derived slope constant c_{d,2},
+and the stabilized quotient f(x, y) whose lower bound drives the
+small-angle estimates.  The appendix inequalities themselves are checked
+on interior grids by suites.suite_appendix; the wedge measure is
+geometry.wedge_measure.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ _A_D_CHUNK = 1 << 20
 
 # A_d known in closed form.  At d = 2 the rows are (u_i, 1), so A_2 = E|u_1 - u_2| = 2/3.
 EXACT_A_D = {2: 2.0 / 3.0}
-
-
-def wedge_measure(d: int, j: int = 2) -> float:
-    """Measure of the wedge cut by j mutually orthogonal hyperplanes."""
-    return omega(d + 1) / 2.0 ** j
 
 
 def i2_closed(d: int, phi, psi):
@@ -120,16 +116,14 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Monte Carlo estimate with its standard error and provenance."""
+    """Monte Carlo estimate with its standard error."""
 
     value: float
     std_error: float
-    sample_count: int
-    seed: SeedSpec
 
     def __post_init__(self) -> None:
-        if self.std_error < 0 or self.sample_count < 1:
-            raise DomainError("std_error must be >= 0 and sample_count >= 1")
+        if self.std_error < 0:
+            raise DomainError("std_error must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,23 +176,18 @@ def estimate_A_d(d: int, sample_count: int, seed: SeedSpec) -> EstimatorReport:
         chunk_index += 1
     mean = math.fsum(sums) / sample_count
     var = max(math.fsum(sq_sums) / sample_count - mean * mean, 0.0)
-    return EstimatorReport(
-        value=mean,
-        std_error=math.sqrt(var / sample_count),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return EstimatorReport(value=mean, std_error=math.sqrt(var / sample_count))
 
 
-def model_constants(d: int, A_d) -> ModelConstants:
+def model_constants(d: int, A_d: float) -> ModelConstants:
     """Derive every model constant from the dimension and A_d.
 
-    Accepts A_d as a float or an EstimatorReport.  Checks the internal
-    identity omega_(d-1) B_d / (d b_d^d) = c_{d,2} to 1e-12 relative.
+    Checks the internal identity omega_(d-1) B_d / (d b_d^d) = c_{d,2} to
+    1e-12 relative.
     """
     if d < 2:
         raise DomainError("model_constants requires d >= 2")
-    a = A_d.value if isinstance(A_d, EstimatorReport) else float(A_d)
+    a = float(A_d)
     if a <= 0:
         raise DomainError("A_d must be positive")
     w_minus, w_plus = omega(d - 1), omega(d + 1)

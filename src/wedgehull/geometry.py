@@ -92,6 +92,11 @@ def omega(k: int) -> float:
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
+def wedge_measure(d: int, j: int = 2) -> float:
+    """Measure of the wedge cut by j mutually orthogonal hyperplanes."""
+    return omega(d + 1) / 2.0 ** j
+
+
 def _check_unit(x: np.ndarray, name: str = "vector") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=-1)
@@ -194,13 +199,6 @@ class WedgeModel:
     def is_orthogonal(self) -> bool:
         gram = self.normals @ self.normals.T
         return bool(np.all(np.abs(gram - np.eye(self.j)) <= ORTHO_TOL))
-
-    @property
-    def surface_measure(self) -> float | None:
-        """Exact wedge measure when the normals are mutually orthogonal, else None."""
-        if self.is_orthogonal:
-            return omega(self.d + 1) / 2.0 ** self.j
-        return None
 
 
 def wedge_contains(model: WedgeModel, points: np.ndarray) -> np.ndarray | bool:

@@ -48,10 +48,9 @@ class FacetSet:
 
 
 def _cloud_points(cloud) -> np.ndarray:
-    points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, float)
-    if points.ndim != 2 or points.shape[1] < 3:
-        raise DomainError("expected an (n, d+1) point array with d >= 2")
-    return points
+    if not isinstance(cloud, SampleCloud):
+        raise DomainError(f"expected a SampleCloud, got {type(cloud).__name__}")
+    return cloud.points
 
 
 def _subset_batches(n: int, d: int):
@@ -95,7 +94,7 @@ def euler_relation_holds(facets, vertex_count: int, d: int) -> bool:
     return total == 1 - (-1) ** d
 
 
-def facets_ambient(cloud) -> FacetSet:
+def facets_ambient(cloud: SampleCloud) -> FacetSet:
     """Exhaustive facet scan over all d-subsets in ambient coordinates.
 
     O(C(n, d) * n); dimension-generic.  Subsets whose hyperplane leaves
@@ -312,7 +311,7 @@ def _hull2d(coords: np.ndarray):
     return edges, vertices, degenerate
 
 
-def facets_projected(cloud) -> FacetSet:
+def facets_projected(cloud: SampleCloud) -> FacetSet:
     """Facets via gnomonic projection and a Euclidean convex hull.
 
     The monotone chain with exact-sign fallback at d=2, Qhull at every
@@ -322,8 +321,6 @@ def facets_projected(cloud) -> FacetSet:
     coplanar points or its facets fail euler_relation_holds.
     """
     points = _cloud_points(cloud)
-    if not isinstance(cloud, SampleCloud):
-        raise DomainError("facets_projected needs a SampleCloud (the projection center)")
     model: WedgeModel = cloud.model
     n, amb = points.shape
     d = amb - 1

@@ -53,9 +53,7 @@ def mc_cap_measure(
         hits += int((wedge_contains(model, points) & (points @ z >= 0.0)).sum())
     p = hits / sample_count
     std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
-    return EstimatorReport(
-        value=total * p, std_error=std_error, sample_count=sample_count, seed=seed
-    )
+    return EstimatorReport(value=total * p, std_error=std_error)
 
 
 def cross_section_measure(d: int, phi: float, psi: float) -> float:
@@ -144,10 +142,7 @@ def mc_I1(
     spread = float(volumes.std(ddof=1)) if sample_count > 1 else 0.0
     scale = mu**d
     return EstimatorReport(
-        value=scale * mean,
-        std_error=scale * spread / math.sqrt(sample_count),
-        sample_count=sample_count,
-        seed=seed,
+        value=scale * mean, std_error=scale * spread / math.sqrt(sample_count)
     )
 
 
@@ -182,13 +177,8 @@ def quadrature_I1_dim2(phi: float, psi: float) -> float:
 
 @dataclass(frozen=True)
 class LimitLemmaReport:
-    """Values of the binomial limit integral along an n grid."""
+    """The binomial limit integral over log n along an n grid, and its limit."""
 
-    d: int
-    alpha: float
-    epsilon: float
-    n_grid: tuple
-    values: tuple
     ratios: tuple
     target: float
 
@@ -243,14 +233,7 @@ def mc_binomial_limit_lemma(
     n_grid = tuple(int(n) for n in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise DomainError("n_grid must be nonempty and strictly increasing")
-    values = tuple(binomial_limit_integrand_value(d, alpha, n, epsilon) for n in n_grid)
-    ratios = tuple(v / math.log(n) for v, n in zip(values, n_grid))
-    return LimitLemmaReport(
-        d=d,
-        alpha=float(alpha),
-        epsilon=float(epsilon),
-        n_grid=n_grid,
-        values=values,
-        ratios=ratios,
-        target=float(math.factorial(d - 1)),
+    ratios = tuple(
+        binomial_limit_integrand_value(d, alpha, n, epsilon) / math.log(n) for n in n_grid
     )
+    return LimitLemmaReport(ratios=ratios, target=float(math.factorial(d - 1)))

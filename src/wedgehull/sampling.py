@@ -18,10 +18,10 @@ from .geometry import (
     MAX_POINTS,
     UNIT_NORM_TOL,
     WedgeModel,
-    omega,
     row_blocks,
     row_norms,
     wedge_contains,
+    wedge_measure,
 )
 
 _U64 = 1 << 64
@@ -175,10 +175,13 @@ def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> Sampl
 
     For j <= 2 with orthogonal normals the points come from the exact
     coordinate fold of uniform sphere samples; general normals fall back
-    to rejection from the sphere.
+    to rejection from the sphere.  A count above MAX_POINTS raises
+    ResourceLimit before anything is drawn.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
+    if count > MAX_POINTS:
+        raise ResourceLimit(f"cloud size {count:.3e} exceeds {MAX_POINTS:.0e}")
     points = _wedge_points(model, seed.generator(), count)
     return SampleCloud(model=model, points=points)
 
@@ -186,28 +189,19 @@ def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> Sampl
 def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> SampleCloud:
     """One draw of the Poisson model with intensity gamma on the wedge.
 
-    With an exact wedge measure sigma the count is Poisson(gamma * sigma)
-    followed by that many uniform wedge points; without one (non-orthogonal
-    normals) a Poisson process on the whole sphere is thinned to the wedge,
-    which realizes the same law exactly.
+    The count is Poisson(gamma * wedge_measure(d, j)), followed by that many
+    uniform wedge points.  That measure is exact for mutually orthogonal
+    normals only, so any other wedge raises DomainError.
     """
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
+    if not model.is_orthogonal:
+        raise DomainError("the Poisson model needs mutually orthogonal normals")
+    mean = gamma * wedge_measure(model.d, model.j)
+    if mean > MAX_POINTS:
+        raise ResourceLimit(f"expected cloud size {mean:.3e} exceeds {MAX_POINTS:.0e}")
     rng = seed.generator()
-    sigma = model.surface_measure
-    if sigma is not None:
-        mean = gamma * sigma
-        if mean > MAX_POINTS:
-            raise ResourceLimit(f"expected cloud size {mean:.3e} exceeds {MAX_POINTS:.0e}")
-        n = int(rng.poisson(mean))
-        points = _wedge_points(model, rng, n)
-    else:
-        mean = gamma * omega(model.d + 1)
-        if mean > MAX_POINTS:
-            raise ResourceLimit(f"expected proposal size {mean:.3e} exceeds {MAX_POINTS:.0e}")
-        n = int(rng.poisson(mean))
-        batch = _unit_sphere(rng, model.d, n)
-        points = batch[wedge_contains(model, batch)]
+    points = _wedge_points(model, rng, int(rng.poisson(mean)))
     return SampleCloud(model=model, points=points)
 
 

@@ -26,7 +26,6 @@ from .formulas import (
     i2_closed,
     i2_complement,
     model_constants,
-    wedge_measure,
 )
 from .geometry import (
     WedgeModel,
@@ -39,6 +38,7 @@ from .geometry import (
     omega,
     opening_angle,
     wedge_contains,
+    wedge_measure,
 )
 from .hull import euler_relation_holds, facets_ambient, facets_projected
 from .sampling import SeedSpec, derive_stream, sample_uniform_wedge
@@ -456,23 +456,18 @@ def check_dims(names, dims) -> None:
 
 
 def run_suites(names=None, dims=(2, 3)) -> list:
-    """Run the selected suites (all by default) and return every check."""
+    """Run the selected suites (all by default) and return every check.
+
+    Each suite_<name> is looked up when it runs, so a replaced module
+    attribute is the one called.
+    """
     selected = SUITE_NAMES if names is None else tuple(names)
+    for name in selected:
+        if name not in SUITE_NAMES:
+            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     check_dims(selected, dims)
     results = []
     for name in selected:
-        if name == "geometry":
-            results.extend(suite_geometry(dims=dims))
-        elif name == "i2":
-            results.extend(suite_i2(dims=dims))
-        elif name == "i1":
-            results.extend(suite_i1(dims=dims))
-        elif name == "appendix":
-            results.extend(suite_appendix())
-        elif name == "limits":
-            results.extend(suite_limits(dims=dims))
-        elif name == "hull":
-            results.extend(suite_hull(dims=dims))
-        else:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        suite = globals()[f"suite_{name}"]
+        results.extend(suite() if name == "appendix" else suite(dims=dims))
     return results

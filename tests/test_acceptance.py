@@ -229,7 +229,7 @@ def test_criterion_11_hull_equivalence(report):
 def test_criterion_12_determinism(report):
     def stripped(records):
         return [
-            (r.config_hash, r.model, r.d, r.j, r.size_param, r.rep_index,
+            (r.model, r.d, r.j, r.size_param, r.rep_index,
              r.facet_count, r.vertex_count, r.stream_id, r.flag)
             for r in records
         ]

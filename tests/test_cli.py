@@ -421,6 +421,7 @@ class TestSimulateCommand:
             ["--grid", "8,16,32", "--ell", "-3"],
             ["--grid", "8,16,32", "--workers", "0"],
             ["--grid", "8,16,32", "--workers", "-3"],
+            ["--grid", "1e9,2e9,4e9"],  # above MAX_POINTS: refused before any draw
             # summaries that could not be fitted: refused before any replicate
             ["--grid", "4096,8192"],
             ["--grid", "8,16,32", "--fit-window", "16,32"],
@@ -517,6 +518,10 @@ class TestVerifyCommand:
             suites.run_suites(("limits",), dims=(4,))
         with pytest.raises(DomainError):
             suites.run_suites(("hull",), dims=(1,))
+
+    def test_run_suites_rejects_unknown_suite(self):
+        with pytest.raises(ValueError):
+            suites.run_suites(("nope",))
 
     def test_hull_suite_runs_at_dim_4(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "hull", "--dim", "4"])

@@ -39,7 +39,7 @@ _S = 1.0 / math.sqrt(2.0)
 
 def strip_wall(records):
     return [
-        (r.config_hash, r.model, r.d, r.j, r.size_param, r.rep_index,
+        (r.model, r.d, r.j, r.size_param, r.rep_index,
          r.facet_count, r.vertex_count, r.stream_id, r.flag)
         for r in records
     ]
@@ -57,7 +57,6 @@ def synthetic_records(sizes, counts, reps=2):
         for rep in range(reps):
             records.append(
                 RunRecord(
-                    config_hash="x",
                     model="binomial",
                     d=2,
                     j=2,
@@ -98,6 +97,20 @@ class TestConfig:
         with pytest.raises(DomainError):
             binomial_cfg(grid=(100.5, 200), **extra)
         assert binomial_cfg(grid=(100.0, 200), **extra).grid == (100.0, 200)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(grid=(10**9, 2 * 10**9, 4 * 10**9)),
+            dict(model="polygon_baseline", grid=(10**3, 10**6, 10**12)),
+            dict(model="conjecture_probe", j=1, grid=(8, 16, geometry.MAX_POINTS + 1)),
+        ],
+    )
+    def test_point_counts_are_capped(self, extra):
+        # the largest cloud runs first, so an oversize grid must fail before any draw
+        with pytest.raises(DomainError, match="at most"):
+            binomial_cfg(**extra)
+        assert binomial_cfg(grid=(8, 16, geometry.MAX_POINTS)).grid[-1] == geometry.MAX_POINTS
 
     def test_fixed_size_fit_window_must_be_whole(self):
         with pytest.raises(DomainError, match="fit_window values are point counts"):
@@ -443,7 +456,6 @@ class TestPolygonBaseline:
         )
         records = run_experiment(cfg)
         assert all(r.j == 3 for r in records)  # default is a triangle
-        assert all(r.config_hash == config_hash(cfg) for r in records)
         records5 = run_experiment(ExperimentConfig(**{**cfg.to_dict(), "ell": 5}))
         assert all(r.j == 5 for r in records5)
 
@@ -630,7 +642,7 @@ class TestPersistence:
         write_csv(path, records)
         text = path.read_text()
         assert text.splitlines()[0] == CSV_HEADER
-        redo = read_csv(path, config_hash=config_hash(cfg))
+        redo = read_csv(path)
         assert strip_wall(redo) == strip_wall(records)
         assert [r.wall_time_ms for r in redo] == [r.wall_time_ms for r in records]
 

@@ -309,11 +309,6 @@ class TestModelConstants:
                 2.0 ** (d - 1) * consts.A_d, rel=1e-12
             )
 
-    def test_accepts_estimator_report(self):
-        report = estimate_A_d(2, 10**4, make_seed("A", "wrap"))
-        consts = model_constants(2, report)
-        assert consts.A_d == report.value
-
     def test_guards(self):
         with pytest.raises(DomainError):
             model_constants(1, 0.5)
@@ -399,6 +394,4 @@ class TestAppendixInequalities:
 
 def test_estimator_report_guards():
     with pytest.raises(DomainError):
-        EstimatorReport(value=1.0, std_error=-1e-3, sample_count=10, seed=make_seed("r"))
-    with pytest.raises(DomainError):
-        EstimatorReport(value=1.0, std_error=0.1, sample_count=0, seed=make_seed("r"))
+        EstimatorReport(value=1.0, std_error=-1e-3)

@@ -581,9 +581,10 @@ class TestResourceAndInputGuards:
         with pytest.raises(DomainError):
             facets_projected(pts)
 
-    def test_ambient_accepts_raw_arrays(self, wedge2):
+    def test_ambient_requires_cloud(self, wedge2):
         cloud = cloud_of(wedge2, ("raw",), 8)
-        assert facets_ambient(cloud.points).facets == facets_ambient(cloud).facets
+        with pytest.raises(DomainError):
+            facets_ambient(cloud.points)
 
     def test_rejects_low_ambient_dimension(self):
         with pytest.raises(DomainError):

@@ -146,6 +146,11 @@ class TestUniformWedge:
         folded = sampling._fold_to_wedge(model, points)
         assert np.array_equal(folded.view(np.uint64), reference.view(np.uint64))
 
+    def test_resource_limit(self, wedge2):
+        # raised before the draw: MAX_POINTS + 1 points would take gigabytes
+        with pytest.raises(ResourceLimit):
+            sample_uniform_wedge(wedge2, make_seed("w", 3), sampling.MAX_POINTS + 1)
+
     def test_rejection_stall_detection(self, monkeypatch):
         # Three normals tilted a hair above a common plane cut a corner so
         # small that rejection cannot plausibly fill it.
@@ -195,6 +200,21 @@ class TestPoissonWedge:
     def test_negative_gamma(self, wedge2):
         with pytest.raises(DomainError):
             sample_poisson_wedge(wedge2, -1.0, make_seed("p", 4))
+
+    def test_non_orthogonal_triple_is_rejected(self):
+        # the wedge measure gamma scales is exact for orthogonal normals only
+        t = 0.8
+        normals = np.array(
+            [
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [math.sin(t), 0.0, math.cos(t), 0.0],
+            ]
+        )
+        model = WedgeModel.from_normals(3, normals)
+        assert not model.is_orthogonal
+        with pytest.raises(DomainError):
+            sample_poisson_wedge(model, 10.0, make_seed("p", 5))
 
 
 class TestBetaPrime:
