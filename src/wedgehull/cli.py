@@ -208,9 +208,9 @@ def cmd_verify(args) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    # The suites call Qhull and scipy's quadratures, which the package loads
-    # only when called; load them now so each [time] line times its suite.
-    import scipy.integrate  # noqa: F401
+    # The suites call Qhull and scipy's incomplete beta function, which the
+    # package loads only when called; load them now so each [time] line times
+    # its suite.
     import scipy.spatial  # noqa: F401
     import scipy.special  # noqa: F401
 

@@ -130,7 +130,11 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
-        if spec.kind != "poisson" and grid[-1] > MAX_POINTS:
+        if spec.kind == "poisson":
+            expected = grid[-1] * wedge_measure(self.d, self.j)
+            if expected > MAX_POINTS:
+                raise DomainError(f"expected cloud size {expected:.3e} exceeds {MAX_POINTS:.0e}")
+        elif grid[-1] > MAX_POINTS:
             raise DomainError(f"grid point counts must be at most {MAX_POINTS:.0e}")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")

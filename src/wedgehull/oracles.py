@@ -4,14 +4,17 @@ Every closed-form quantity in the formulas module gets at least one
 estimator here that shares no code path with it: cap measures and the
 wedge measure by hit fractions on the full sphere, the cross-section
 integral by direct sampling on a great subsphere, and the binomial limit
-integral by deterministic quadrature.  Agreement within stated Monte
-Carlo error is the evidence that the implemented formulas mean what they
-claim.  The two quadratures import scipy in their own bodies, so importing
-this module does not load it.
+integral by a fixed Gauss-Legendre rule in numpy.  The d = 2
+cross-section integral also has an exact value here, derived apart from
+the Monte Carlo route.  Agreement within stated Monte Carlo error is the
+evidence that the implemented formulas mean what they claim.  Only the
+limit lemma calls scipy (its incomplete beta function), imported in that
+function's body, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +35,12 @@ from .sampling import _BATCH, SeedSpec, sample_uniform_sphere
 
 _MIN_SAMPLES = 10**4
 _QUAD_RTOL = 1e-8
+# Gauss-Legendre points per panel, and the panel width in log n of the
+# limit lemma's coarser rule; on the suite's budgets that rule differs from
+# the finer one by 4e-12 to 3e-9 relative, above the ~3e-13 floor that
+# scipy's betainc sets and below the 10 * _QUAD_RTOL error test
+_GL_ORDER = 8
+_LIMIT_PANEL_WIDTH = 2.0
 
 
 def mc_cap_measure(
@@ -152,27 +161,21 @@ def i1_upper_bound(d: int) -> float:
 
 
 def quadrature_I1_dim2(phi: float, psi: float) -> float:
-    """Deterministic value of the d=2 cross-section integral.
+    """Exact value of the d=2 cross-section integral, 2(beta - sin beta).
 
-    In gnomonic coordinates on the sliced arc the integral becomes a double
-    integral of |a-b| against (1+a^2)^{-3/2}(1+b^2)^{-3/2} over a square;
-    the inner integral has the closed antiderivative 2(sqrt(1+b^2) -
-    1/sqrt(1+L^2)), leaving one adaptive quadrature.
+    In gnomonic coordinates on the sliced arc the integral is the double
+    integral of |a-b| against (1+a^2)^{-3/2}(1+b^2)^{-3/2} over a square
+    of half-width tan(beta/2); it integrates in closed form, with beta the
+    opening angle.  Below beta = 0.5 the value comes from its Taylor series,
+    since beta - sin(beta) loses about log10(6/beta^2) digits to cancellation.
     """
-    from scipy import integrate
-
     beta = float(opening_angle(phi, psi))
-    half = math.tan(beta / 2.0)
-    edge = 1.0 / math.sqrt(1.0 + half * half)
-
-    def outer(b: float) -> float:
-        inner = 2.0 * (math.sqrt(1.0 + b * b) - edge)
-        return inner * (1.0 + b * b) ** -1.5
-
-    value, abserr = integrate.quad(outer, -half, half, epsabs=0.0, epsrel=1e-12, limit=200)
-    if value != 0.0 and abserr > 1e-9 * abs(value):
-        raise QuadratureError(f"cross-section quadrature error {abserr:.2e} too large")
-    return value
+    if beta < 0.5:
+        # seven terms of beta^3 * sum_k 2(-1)^k beta^(2k)/(2k+3)! reach 1e-15 relative
+        return beta**3 * sum(
+            (-1) ** k * 2.0 * beta ** (2 * k) / math.factorial(2 * k + 3) for k in range(7)
+        )
+    return 2.0 * (beta - math.sin(beta))
 
 
 @dataclass(frozen=True)
@@ -187,38 +190,81 @@ class LimitLemmaReport:
         return abs(self.ratios[-1] - self.target) / self.target
 
 
+@functools.cache
+def _legendre_rule():
+    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Built on first call rather than at import, which keeps numpy.polynomial
+    out of the package import.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_GL_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_legendre_panels(cuts, counts):
+    """Nodes and weights of a composite Gauss-Legendre rule.
+
+    The interval between cuts[i] and cuts[i+1] is split into counts[i]
+    equal panels, and each panel gets _legendre_rule().
+    """
+    edges = [cuts[0]]
+    for lo, hi, count in zip(cuts, cuts[1:], counts):
+        edges.extend(np.linspace(lo, hi, count + 1)[1:])
+    edges = np.asarray(edges)
+    half = np.diff(edges)[:, None] / 2.0
+    mid = (edges[:-1] + edges[1:])[:, None] / 2.0
+    x, w = _legendre_rule()
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _limit_integral(d: int, alpha: float, n: float, epsilon: float, width: float):
+    """The outer integral of binomial_limit_integrand_value and its error estimate.
+
+    Integrates the incomplete beta function I_x(d, n-d+1), x = eps e^y / n,
+    over y in logarithmic coordinates, where it is a smooth sigmoid with its
+    knee at y = log(d/eps).  The panels split there and at log(n/eps), above
+    which x >= 1 and the integrand is exactly 1.  Each interval gets the
+    fewest equal panels no wider than width.  Returns the rule with every
+    panel halved, and its distance from the rule on the whole panels.
+    """
+    from scipy import special
+
+    y_hi = math.log(n * alpha)
+    y_lo = min(math.log(1e-6), y_hi - 1.0)
+    y_top = min(y_hi, math.log(n / epsilon))
+    knee = math.log(d / epsilon)
+    cuts = [y_lo, knee, y_top] if y_lo < knee < y_top else [y_lo, y_top]
+    counts = [math.ceil((hi - lo) / width) for lo, hi in zip(cuts, cuts[1:])]
+    values = []
+    for split in (1, 2):
+        y, w = _gauss_legendre_panels(cuts, [split * count for count in counts])
+        x = np.minimum(epsilon * np.exp(y) / n, 1.0)
+        values.append(float(special.betainc(float(d), float(n - d + 1), x) @ w))
+    return values[1] + (y_hi - y_top), abs(values[1] - values[0])
+
+
 def binomial_limit_integrand_value(d: int, alpha: float, n: float, epsilon: float) -> float:
     """The double integral of (st)^(d-1) (1-st/n)^(n-d) over (0,n*alpha)x(0,eps).
 
     The inner integral in t is an incomplete beta function exactly; the
-    outer integral runs in logarithmic coordinates where the integrand is a
-    smooth sigmoid, handled by one adaptive rule.
+    outer one is a composite Gauss-Legendre rule in logarithmic coordinates
+    (_limit_integral), whose two panel widths give its error estimate.
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError("epsilon must lie in (0, 1/2)")
     if alpha <= 0.0 or n <= d:
         raise DomainError("need alpha > 0 and n > d")
-    from scipy import integrate, special
+    from scipy import special
 
-    a, b = float(d), float(n - d + 1)
-    log_beta = special.betaln(a, b)
-
-    def outer(y: float) -> float:
-        x = epsilon * math.exp(y) / n
-        return float(special.betainc(a, b, min(x, 1.0)))
-
-    y_hi = math.log(n * alpha)
-    y_lo = min(math.log(1e-6), y_hi - 1.0)
-    knee = math.log(d / epsilon)
-    points = [knee] if y_lo < knee < y_hi else None
-    value, abserr = integrate.quad(
-        outer, y_lo, y_hi, epsabs=0.0, epsrel=_QUAD_RTOL, limit=400, points=points
-    )
+    value, abserr = _limit_integral(d, alpha, n, epsilon, _LIMIT_PANEL_WIDTH)
     if value <= 0.0 or abserr > 10.0 * _QUAD_RTOL * value:
         raise QuadratureError(
             f"limit-lemma quadrature error {abserr:.2e} relative to {value:.6e}"
         )
-    return math.exp(d * math.log(n) + log_beta) * value
+    return math.exp(d * math.log(n) + special.betaln(float(d), float(n - d + 1))) * value
 
 
 def mc_binomial_limit_lemma(

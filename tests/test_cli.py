@@ -25,6 +25,10 @@ APPENDIX_REPORT_DIGEST = "97e560fbef5e7de2b46df220cd4d1597"
 # and of `verify --suite hull`'s: a route mismatch, a skipped degenerate
 # cloud or an Euler failure at d = 2 or 3 changes it
 HULL_REPORT_DIGEST = "f3baa0afc6386ea5e3a81d9293db846f"
+# and of `verify --suite limits`'s at both dims: each detail prints the
+# limit-lemma ratios to 4-6 digits, so a change of quadrature that moves them
+# changes it
+LIMITS_REPORT_DIGEST = "c7a3c75be30235e9b88061359dcec863"
 
 
 def run_cli(capsys, argv):
@@ -422,6 +426,7 @@ class TestSimulateCommand:
             ["--grid", "8,16,32", "--workers", "0"],
             ["--grid", "8,16,32", "--workers", "-3"],
             ["--grid", "1e9,2e9,4e9"],  # above MAX_POINTS: refused before any draw
+            ["--model", "poisson", "--gamma-grid", "1e8,2e8,4e8"],  # expected clouds too
             # summaries that could not be fitted: refused before any replicate
             ["--grid", "4096,8192"],
             ["--grid", "8,16,32", "--fit-window", "16,32"],
@@ -456,6 +461,12 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--suite", "hull"])
         assert code == 0
         assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == HULL_REPORT_DIGEST
+
+    def test_limits_report_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "limits"])
+        assert code == 0
+        assert json.loads(out)["dims"] == [2, 3]
+        assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == LIMITS_REPORT_DIGEST
 
     def test_dim_restriction_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "appendix", "--dim", "2"])
@@ -590,10 +601,20 @@ class TestScipyLoadsWhenCalled:
             code = cli.main(["verify", "--suite", "geometry"])
             print(json.dumps([code, seen]))
         """
-        assert run_fresh(tmp_path, body) == [
-            0,
-            [["scipy.integrate", "scipy.spatial", "scipy.special"]],
-        ]
+        assert run_fresh(tmp_path, body) == [0, [["scipy.spatial", "scipy.special"]]]
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--suite", "limits"], ["verify", "--suite", "i1", "--dim", "2"]]
+    )
+    def test_quadrature_suites_load_no_integrator(self, tmp_path, argv):
+        # the limit lemma's rule and the d = 2 cross-section value are numpy
+        body = f"""
+            import wedgehull.cli as cli
+            code = cli.main({argv!r})
+            unwanted = ("scipy.integrate", "scipy.optimize")
+            print(json.dumps([code, [m for m in loaded() if m.startswith(unwanted)]]))
+        """
+        assert run_fresh(tmp_path, body) == [0, []]
 
 
 def test_unknown_subcommand_exits_two():

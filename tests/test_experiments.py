@@ -112,6 +112,15 @@ class TestConfig:
             binomial_cfg(**extra)
         assert binomial_cfg(grid=(8, 16, geometry.MAX_POINTS)).grid[-1] == geometry.MAX_POINTS
 
+    def test_poisson_expected_clouds_are_capped(self):
+        # the same rule as sample_poisson_wedge: gamma * wedge_measure(d, j) <= MAX_POINTS
+        with pytest.raises(DomainError, match="expected cloud size"):
+            binomial_cfg(model="poisson", grid=(1e8, 2e8, 4e8))
+        top = geometry.MAX_POINTS / geometry.wedge_measure(3, 2)
+        with pytest.raises(DomainError, match="expected cloud size"):
+            binomial_cfg(model="poisson", d=3, grid=(1.0, 2.0, top * 1.001))
+        assert binomial_cfg(model="poisson", d=3, grid=(1.0, 2.0, top)).grid[-1] == top
+
     def test_fixed_size_fit_window_must_be_whole(self):
         with pytest.raises(DomainError, match="fit_window values are point counts"):
             binomial_cfg(grid=(8, 16, 32), fit_window=(8, 16.5, 32))

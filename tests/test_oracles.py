@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 import wedgehull.oracles as oracles
@@ -12,6 +14,7 @@ import wedgehull.suites as suites
 from wedgehull import (
     DomainError,
     LimitLemmaReport,
+    QuadratureError,
     SeedSpec,
     WedgeModel,
     i2_closed,
@@ -248,6 +251,16 @@ class TestQuadratureI1:
     def test_vanishes_with_the_slice(self):
         assert quadrature_I1_dim2(1e-8, 0.5) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [1e-8, 1e-4, 0.05, 1.0, 3.0])
+    def test_full_relative_accuracy(self, beta):
+        # psi = 0 makes the opening angle phi itself; the series branch and the
+        # direct one each against 50-digit arithmetic
+        assert float(opening_angle(beta, 0.0)) == beta
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            expect = float(2 * (b - mpmath.sin(b)))
+        assert quadrature_I1_dim2(beta, 0.0) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
 
 class TestLimitLemma:
     def test_frozen_reference_values(self):
@@ -293,6 +306,41 @@ class TestLimitLemma:
         )
         value = binomial_limit_integrand_value(d, alpha, n, eps)
         assert value == pytest.approx(direct, rel=1e-7)
+
+    @pytest.mark.parametrize("d", sorted(suites.LIMITS_BUDGETS))
+    def test_rule_within_its_estimate_of_a_finer_rule(self, d):
+        eps, alpha_a, alpha_b, _ = suites.LIMITS_BUDGETS[d]
+        width = oracles._LIMIT_PANEL_WIDTH
+        for alpha in (alpha_a, alpha_b):
+            for n in (10**3, 10**4, 10**5, 10**6):  # suite_limits' grid
+                value, abserr = oracles._limit_integral(d, alpha, n, eps, width)
+                finer, _ = oracles._limit_integral(d, alpha, n, eps, width / 4.0)
+                assert abs(value - finer) <= abserr, (alpha, n)
+
+    def test_saturated_tail(self):
+        # alpha * eps > 1: above y = log(n/eps) the incomplete beta is exactly 1,
+        # and at small n it reaches 1 only there, with a kink
+        d, alpha, n, eps = 2, 10.0, 3, 0.3
+        a, b = d, n - d + 1
+        y_hi = math.log(n * alpha)
+        direct, _ = scipy.integrate.quad(
+            lambda y: scipy.special.betainc(a, b, min(eps * math.exp(y) / n, 1.0)),
+            math.log(1e-6),
+            y_hi,
+            points=[math.log(d / eps), math.log(n / eps)],
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        scale = n**d * math.exp(scipy.special.betaln(a, b))
+        value = binomial_limit_integrand_value(d, alpha, n, eps)
+        assert value == pytest.approx(scale * direct, rel=1e-10)
+
+    def test_coarse_rule_raises(self, monkeypatch):
+        # one and two panels a side disagree far beyond 10 * _QUAD_RTOL
+        monkeypatch.setattr(oracles, "_LIMIT_PANEL_WIDTH", 40.0)
+        with pytest.raises(QuadratureError, match="limit-lemma quadrature error"):
+            binomial_limit_integrand_value(2, 1.0, 10**6, 0.3)
 
     def test_parameter_guards(self):
         with pytest.raises(DomainError):
