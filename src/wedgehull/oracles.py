@@ -29,6 +29,7 @@ from .geometry import (
     omega,
     opening_angle,
     orthonormal_complement,
+    row_norms,
     wedge_contains,
 )
 from .sampling import _BATCH, SeedSpec, sample_uniform_sphere
@@ -44,25 +45,39 @@ _LIMIT_PANEL_WIDTH = 2.0
 
 
 def mc_cap_measure(
-    model: WedgeModel, z: np.ndarray, sample_count: int, seed: SeedSpec
-) -> EstimatorReport:
-    """Hit-fraction estimate of the measure of wedge ∩ {x·z >= 0}."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.d + 1,):
-        raise DomainError("direction z must be an ambient vector")
-    if abs(np.linalg.norm(z) - 1.0) > 1e-9:
-        raise DomainError("direction z must be a unit vector")
+    model: WedgeModel, directions, sample_count: int, seed: SeedSpec
+) -> tuple:
+    """Hit-fraction estimates of the measure of wedge ∩ {x·z >= 0}, one per row z.
+
+    directions is a (k, d+1) stack of unit vectors.  Every direction is
+    tested on the same sample (common random numbers): each chunk of
+    _BATCH sphere points is drawn once, on its own substream, and tested
+    for wedge membership once.  So each estimate has the law and the bits
+    of a one-row call on the same seed, and only the k estimates of one
+    call depend on each other.  Each direction gets its own matrix-vector
+    product; a (chunk, k) product would be a large temporary.
+    """
+    directions = np.ascontiguousarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != model.d + 1 or not len(directions):
+        raise DomainError("directions must be a nonempty (k, d+1) stack of ambient vectors")
+    if not np.all(np.abs(row_norms(directions) - 1.0) <= 1e-9):
+        raise DomainError("every direction must be a unit vector")
     if sample_count < _MIN_SAMPLES:
         raise DomainError(f"sample_count must be at least {_MIN_SAMPLES}")
     total = omega(model.d + 1)
-    hits = 0
+    hits = [0] * len(directions)
     for chunk_index, done in enumerate(range(0, sample_count, _BATCH)):
         chunk_seed = seed.substream("cap_measure", chunk_index)
         points = sample_uniform_sphere(model.d, chunk_seed, min(_BATCH, sample_count - done))
-        hits += int((wedge_contains(model, points) & (points @ z >= 0.0)).sum())
-    p = hits / sample_count
-    std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
-    return EstimatorReport(value=total * p, std_error=std_error)
+        inside = wedge_contains(model, points)
+        for k, z in enumerate(directions):
+            hits[k] += int(np.count_nonzero(inside & (points @ z >= 0.0)))
+    reports = []
+    for count in hits:
+        p = count / sample_count
+        std_error = total * math.sqrt(max(p * (1.0 - p), 0.0) / sample_count)
+        reports.append(EstimatorReport(value=total * p, std_error=std_error))
+    return tuple(reports)
 
 
 def cross_section_measure(d: int, phi: float, psi: float) -> float:

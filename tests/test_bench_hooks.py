@@ -139,8 +139,26 @@ def test_oracles_draw_through_the_wrapped_sphere_sampler(monkeypatch):
     monkeypatch.setattr(oracles, "sample_uniform_sphere", counting)
     count = _BATCH + 7  # two chunks
     z = np.array([0.0, 0.0, 1.0])
-    oracles.mc_cap_measure(WedgeModel.right_angle(2), z, count, SeedSpec(1, 2))
+    oracles.mc_cap_measure(WedgeModel.right_angle(2), [z], count, SeedSpec(1, 2))
     assert sum(rows) == count and len(rows) == 2
     rows.clear()
     points = oracles.subsphere_wedge_points(3, 0.7, 0.4, 500, SeedSpec(1, 3))
     assert rows == [500] and points.shape == (500, 4)
+
+
+def test_suite_i2_draws_one_sample_per_dimension(monkeypatch):
+    # All pairs of one dimension are tested on the same sphere sample, so
+    # the suite draws sample_count points per dimension, not per pair.
+    import wedgehull.oracles as oracles
+    import wedgehull.suites as suites
+
+    rows = []
+
+    def counting(d, seed, count):
+        rows.append((d, count))
+        return sampler(d, seed, count)
+
+    sampler = oracles.sample_uniform_sphere
+    monkeypatch.setattr(oracles, "sample_uniform_sphere", counting)
+    suites.suite_i2(dims=(2, 3), pairs=5, sample_count=10**4)
+    assert rows == [(2, 10**4), (3, 10**4)]

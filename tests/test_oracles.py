@@ -13,6 +13,7 @@ import wedgehull.oracles as oracles
 import wedgehull.suites as suites
 from wedgehull import (
     DomainError,
+    EstimatorReport,
     LimitLemmaReport,
     QuadratureError,
     SeedSpec,
@@ -35,7 +36,7 @@ from wedgehull.oracles import (
     i1_upper_bound,
     subsphere_wedge_points,
 )
-from wedgehull.sampling import _unit_sphere
+from wedgehull.sampling import _BATCH, _unit_sphere
 
 from .conftest import make_seed
 
@@ -50,57 +51,81 @@ def top_axis(model):
 class TestWedgeMeasureOracle:
     def test_quarter_sphere_values(self, wedge2, wedge3):
         for model, target in ((wedge2, math.pi), (wedge3, math.pi**2 / 2)):
-            est = mc_cap_measure(model, top_axis(model), 2 * 10**5, make_seed("wm", model.d))
+            (est,) = mc_cap_measure(model, [top_axis(model)], 2 * 10**5, make_seed("wm", model.d))
             assert abs(est.value - target) <= 3 * est.std_error
 
     def test_half_sphere(self):
         model = WedgeModel.half_sphere(2)
-        est = mc_cap_measure(model, top_axis(model), 2 * 10**5, make_seed("wm", "half"))
+        (est,) = mc_cap_measure(model, [top_axis(model)], 2 * 10**5, make_seed("wm", "half"))
         assert abs(est.value - 2 * math.pi) <= 3 * est.std_error
 
     def test_std_error_scaling(self, wedge2):
         z = top_axis(wedge2)
-        se4 = mc_cap_measure(wedge2, z, 10**4, make_seed("wm", "s", 4)).std_error
-        se6 = mc_cap_measure(wedge2, z, 10**6, make_seed("wm", "s", 6)).std_error
+        se4 = mc_cap_measure(wedge2, [z], 10**4, make_seed("wm", "s", 4))[0].std_error
+        se6 = mc_cap_measure(wedge2, [z], 10**6, make_seed("wm", "s", 6))[0].std_error
         assert 10.0 / 1.2 <= se4 / se6 <= 10.0 * 1.2
 
     def test_minimum_sample_guard(self, wedge2):
         with pytest.raises(DomainError):
-            mc_cap_measure(wedge2, top_axis(wedge2), 9999, make_seed("wm", "g"))
+            mc_cap_measure(wedge2, [top_axis(wedge2)], 9999, make_seed("wm", "g"))
 
 
 class TestCapMeasureOracle:
     def test_normal_direction_recovers_full_wedge(self, wedge2):
         z = np.array([0.0, 0.0, 1.0])
-        est = mc_cap_measure(wedge2, z, 2 * 10**5, make_seed("cap", 0))
+        (est,) = mc_cap_measure(wedge2, [z], 2 * 10**5, make_seed("cap", 0))
         assert abs(est.value - math.pi) <= 3 * est.std_error
 
     def test_opposite_normal_is_empty(self, wedge2):
         z = np.array([0.0, 0.0, -1.0])
-        est = mc_cap_measure(wedge2, z, 10**5, make_seed("cap", 1))
+        (est,) = mc_cap_measure(wedge2, [z], 10**5, make_seed("cap", 1))
         assert est.value == 0.0
 
     def test_matches_closed_form_dim3(self, wedge3):
         phi, psi = 1.0, 0.8
         u = np.array([1.0, 0.0])
         z = normal_from_angles(phi, psi, u)
-        est = mc_cap_measure(wedge3, z, 2 * 10**5, make_seed("cap", 2))
+        (est,) = mc_cap_measure(wedge3, [z], 2 * 10**5, make_seed("cap", 2))
         assert abs(est.value - float(i2_closed(3, phi, psi))) <= 3 * est.std_error
 
     def test_complement_sums_to_wedge(self, wedge2):
         z = normal_from_angles(0.7, 0.5, np.array([1.0]))
-        a = mc_cap_measure(wedge2, z, 2 * 10**5, make_seed("cap", 3))
-        b = mc_cap_measure(wedge2, -z, 2 * 10**5, make_seed("cap", 4))
+        (a,) = mc_cap_measure(wedge2, [z], 2 * 10**5, make_seed("cap", 3))
+        (b,) = mc_cap_measure(wedge2, [-z], 2 * 10**5, make_seed("cap", 4))
         combined_se = math.hypot(a.std_error, b.std_error)
         assert abs(a.value + b.value - wedge_measure(2)) <= 3 * combined_se
 
     def test_direction_guards(self, wedge2):
         with pytest.raises(DomainError):
-            mc_cap_measure(wedge2, np.array([0.0, 0.0, 2.0]), 10**4, make_seed("cap", 5))
+            mc_cap_measure(wedge2, [np.array([0.0, 0.0, 2.0])], 10**4, make_seed("cap", 5))
         with pytest.raises(DomainError):
-            mc_cap_measure(wedge2, np.array([0.0, 1.0, 0.0, 0.0]), 10**4, make_seed("cap", 6))
+            mc_cap_measure(wedge2, [np.array([0.0, 1.0, 0.0, 0.0])], 10**4, make_seed("cap", 6))
         with pytest.raises(DomainError):
-            mc_cap_measure(wedge2, np.array([0.0, 0.0, 1.0]), 100, make_seed("cap", 7))
+            mc_cap_measure(wedge2, [np.array([0.0, 0.0, 1.0])], 100, make_seed("cap", 7))
+
+    def test_stack_matches_one_row_calls(self, wedge2):
+        # every row is tested on the same chunks, across a chunk boundary
+        count = _BATCH + 7
+        z = normal_from_angles(0.7, 0.5, np.array([1.0]))
+        directions = np.stack([z, -z, top_axis(wedge2)])
+        stacked = mc_cap_measure(wedge2, directions, count, make_seed("cap", 8))
+        singles = tuple(
+            mc_cap_measure(wedge2, [row], count, make_seed("cap", 8))[0] for row in directions
+        )
+        assert stacked == singles and len(stacked) == 3
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            np.array([0.0, 0.0, 1.0]),  # one vector, not a stack
+            np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.6]]),  # second row not unit
+            np.array([[0.0, 0.0, 1.0], [0.0, np.nan, 1.0]]),
+            np.empty((0, 3)),
+        ],
+    )
+    def test_stack_guards(self, wedge2, directions):
+        with pytest.raises(DomainError):
+            mc_cap_measure(wedge2, directions, 10**4, make_seed("cap", 9))
 
 
 def _slice_normal(d, phi, psi):
@@ -363,13 +388,33 @@ class TestLimitLemma:
             report.target = 2.0
 
 
+class TestSuiteZScores:
+    def test_zero_hit_pair_fails_the_cap_check(self, monkeypatch):
+        # a hit fraction of 0 has standard error 0; the check must fail, not divide by it
+        def no_hits(model, directions, sample_count, seed):
+            return tuple(EstimatorReport(value=0.0, std_error=0.0) for _ in directions)
+
+        monkeypatch.setattr(oracles, "mc_cap_measure", no_hits)
+        checks = suites.suite_i2(dims=(2,), pairs=3, sample_count=10**4)
+        cap = next(c for c in checks if c.name == "cap_measure_vs_closed_d2")
+        assert not cap.passed and "max |z-score| inf" in cap.detail
+
+    def test_thin_cap_at_small_budget_draws_no_hits(self):
+        # phi = psi = 0.1, the corner that _interior_angles allows, at 10^4 samples
+        z = normal_from_angles(0.1, 0.1, np.array([1.0]))
+        (est,) = mc_cap_measure(WedgeModel.right_angle(2), [z], 10**4, SeedSpec(0, 0))
+        assert (est.value, est.std_error) == (0.0, 0.0)
+        assert suites._z_score(est, float(i2_closed(2, 0.1, 0.1))) == math.inf
+        assert suites._z_score(est, 0.0) == 0.0
+
+
 class TestPinnedBits:
     """Oracle outputs pinned bit for bit, so a change in how they draw shows."""
 
     def test_cap_measure_and_subsphere_draws(self):
         z = np.array([0.6, 0.0, 0.0, 0.8])
         # 3 * 10^5 samples: three chunks, each on its own substream
-        est = mc_cap_measure(WedgeModel.right_angle(3), z, 3 * 10**5, SeedSpec(7, 11))
+        (est,) = mc_cap_measure(WedgeModel.right_angle(3), [z], 3 * 10**5, SeedSpec(7, 11))
         assert (est.value, est.std_error) == (3.9061920298631465, 0.014358134039016422)
         points = subsphere_wedge_points(3, 0.7, 0.4, 1000, SeedSpec(7, 12))
         digest = hashlib.blake2b(points.tobytes(), digest_size=16).hexdigest()
@@ -382,4 +427,4 @@ class TestPinnedBits:
         )
         text = json.dumps([c.to_dict() for c in checks])
         digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-        assert digest == "04d6f0d4d3bb9fd4562784b14f5e2d0b"
+        assert digest == "491fefc1a61bdd7fc429d1194028ec57"
