@@ -70,14 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a facet-count sweep and persist CSV/JSON")
     sim.add_argument("--config", type=str, help="JSON file mirroring ExperimentConfig")
-    spellings = sorted(name for spec in MODEL_SPECS.values() for name in spec.spellings)
-    sim.add_argument("--model", choices=spellings, help="experiment family")
-    sim.add_argument("--dim", type=int, default=2, help="sphere dimension d")
-    sim.add_argument("--j", type=int, default=2, help="number of halfspaces (probe)")
-    sim.add_argument("--grid", type=str, help="n grid, e.g. 128:131072:x2 or 128,256")
-    sim.add_argument("--gamma-grid", type=str, help="intensity grid for the Poisson model")
-    sim.add_argument("--reps", type=int, default=100, help="replications per grid value")
-    sim.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    sim.add_argument("--model", choices=tuple(MODEL_SPECS), help="experiment family")
+    sim.add_argument("--dim", type=int, help="sphere dimension d (default 2)")
+    sim.add_argument("--grid", type=str, help="n grid (Poisson: intensities), e.g. 128:131072:x2")
+    sim.add_argument("--reps", type=int, help="replications per grid value (default 100)")
+    sim.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
     sim.add_argument("--ell", type=int, default=None, help="polygon sides (polygon model)")
     sim.add_argument("--fit-window", type=str, default=None, help="grid subset for the fit")
     sim.add_argument("--out", type=str, default=None, help="output directory")
@@ -95,7 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    # the flags that set a config field; a config file sets them all
+    flags = {"--model": args.model, "--dim": args.dim, "--grid": args.grid, "--reps": args.reps,
+             "--seed": args.seed, "--ell": args.ell, "--fit-window": args.fit_window}
     if args.config:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"--config holds the whole sweep; drop {' '.join(given)}")
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -104,26 +107,21 @@ def _config_from_args(args) -> ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
-        return ExperimentConfig.from_dict(data)
+        cfg = ExperimentConfig.from_dict(data)
+        if cfg.output_path is not None and args.out is not None:
+            raise ValueError(f"config {args.config} sets output_path; drop --out")
+        return cfg
     if not args.model:
         raise ValueError("either --config or --model is required")
-    model = next(name for name, spec in MODEL_SPECS.items() if args.model in spec.spellings)
-    if MODEL_SPECS[model].kind == "poisson":
-        if not args.gamma_grid:
-            raise ValueError("the poisson model needs --gamma-grid")
-        grid = parse_grid(args.gamma_grid)
-    else:
-        if not args.grid:
-            raise ValueError(f"the {args.model} model needs --grid")
-        grid = parse_grid(args.grid)
+    if not args.grid:
+        raise ValueError("--model needs --grid")
     window = parse_grid(args.fit_window) if args.fit_window else None
     return ExperimentConfig(
-        model=model,
-        d=args.dim,
-        grid=grid,
-        reps=args.reps,
-        master_seed=args.seed,
-        j=args.j,
+        model=args.model,
+        d=2 if args.dim is None else args.dim,
+        grid=parse_grid(args.grid),
+        reps=100 if args.reps is None else args.reps,
+        master_seed=0 if args.seed is None else args.seed,
         fit_window=window,
         output_path=args.out,
         ell=args.ell,

@@ -38,12 +38,14 @@ _VARIANCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What one sweep model is: sampler, j, CLI names, grid floor, theory slope."""
+    """What one sweep model is: sampler, j, theory slope.
+
+    A fixed-size kind ("uniform", "polygon") needs grid values of at least
+    d+1, enough points to span a facet; a Poisson grid holds intensities.
+    """
 
     kind: str  # sampler: "uniform" or "poisson" on a wedge, or "polygon"
-    j: object  # canonical j, or the config field that gives it ("ell" or "j")
-    spellings: tuple  # accepted values of `simulate --model`
-    floored: bool  # grid values must be at least d+1, enough points to span a facet
+    j: object  # the model's j, or the config field it follows from ("ell" or "normals")
     law: str  # the theory slope, as printed
     slope: Callable  # (cfg, summary) -> expected growth of the mean facet count per log n
 
@@ -61,15 +63,11 @@ def _two_ell_thirds(cfg, summary):
 
 
 MODEL_SPECS = {
-    "binomial": ModelSpec("uniform", 2, ("binomial",), True, "c_d2", _c_d2),
-    "poisson": ModelSpec("poisson", 2, ("poisson",), False, "c_d2", _c_d2),
-    "halfsphere": ModelSpec("uniform", 1, ("halfsphere",), False, "plateau", _zero),
-    "polygon_baseline": ModelSpec(
-        "polygon", "ell", ("polygon", "polygon_baseline"), True, "2*ell/3", _two_ell_thirds
-    ),
-    "conjecture_probe": ModelSpec(
-        "uniform", "j", ("probe", "conjecture_probe"), False, "c_d2", _c_d2
-    ),
+    "binomial": ModelSpec("uniform", 2, "c_d2", _c_d2),
+    "poisson": ModelSpec("poisson", 2, "c_d2", _c_d2),
+    "halfsphere": ModelSpec("uniform", 1, "plateau", _zero),
+    "polygon_baseline": ModelSpec("polygon", "ell", "2*ell/3", _two_ell_thirds),
+    "conjecture_probe": ModelSpec("uniform", "normals", "c_d2", _c_d2),
 }
 
 
@@ -99,7 +97,7 @@ class ExperimentConfig:
     grid: tuple
     reps: int
     master_seed: int
-    j: int = 2
+    j: int = None  # follows from the model; a config may state it, not change it
     fit_window: tuple = None
     output_path: str = None
     normals: tuple = None
@@ -110,32 +108,46 @@ class ExperimentConfig:
             raise DomainError(f"model must be one of {tuple(MODEL_SPECS)}")
         for name in ("d", "reps", "master_seed", "j", "ell"):
             value = getattr(self, name)
-            if not (_is_int(value) or (name == "ell" and value is None)):
+            if not (_is_int(value) or (name in ("j", "ell") and value is None)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.output_path, (str, type(None))):
             raise DomainError(f"output_path must be a string, got {self.output_path!r}")
         if self.d < 2:
             raise DomainError("dimension must be at least 2")
         spec = MODEL_SPECS[self.model]
-        # canonical j per model keeps config hashes stable across callers
+        normals = None
+        if self.normals is not None:
+            try:
+                normals = np.asarray(self.normals, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DomainError("normals must be a (j, d+1) array of numbers") from exc
         if spec.j == "ell":
             if self.ell is None:
                 object.__setattr__(self, "ell", 3)
-            object.__setattr__(self, "j", self.ell)
+            j = self.ell
         elif self.ell is not None:
             raise DomainError(f"only the polygon baseline takes ell, not {self.model}")
-        elif spec.j != "j":
-            object.__setattr__(self, "j", spec.j)
+        elif spec.j == "normals":
+            if normals is None or normals.ndim != 2:
+                raise DomainError(f"{self.model} needs normals; its j is their row count")
+            j = normals.shape[0]
+        else:
+            j = spec.j
+        if self.j is not None and self.j != j:
+            raise DomainError(f"{self.model} has j = {j}, not {self.j}")
+        object.__setattr__(self, "j", j)
         grid = _numbers("grid", self.grid, spec.kind)
         object.__setattr__(self, "grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be nonempty and strictly increasing")
         if spec.kind == "poisson":
-            expected = grid[-1] * wedge_measure(self.d, self.j)
+            expected = grid[-1] * wedge_measure(self.d, j)
             if expected > MAX_POINTS:
                 raise DomainError(f"expected cloud size {expected:.3e} exceeds {MAX_POINTS:.0e}")
         elif grid[-1] > MAX_POINTS:
             raise DomainError(f"grid point counts must be at most {MAX_POINTS:.0e}")
+        elif grid[0] < self.d + 1:  # too few points to span a facet
+            raise DomainError(f"{self.model} grid values must be at least d+1")
         if self.reps < 1:
             raise DomainError("reps must be at least 1")
         if not 0 <= self.master_seed < 2**64:
@@ -150,23 +162,17 @@ class ExperimentConfig:
                 raise DomainError("polygon baseline is planar (d=2)")
             if self.ell < 3:
                 raise DomainError("polygon needs at least 3 sides")
-            if self.normals is not None:
+            if normals is not None:
                 raise DomainError("polygon baseline takes no normals")
-        if spec.j == "j" and not 1 <= self.j <= self.d:
+        if spec.j == "normals" and not 1 <= j <= self.d:
             raise DomainError("probe needs 1 <= j <= d")
-        if self.normals is not None:
-            shape = f"a (j, d+1) = ({self.j}, {self.d + 1}) array of numbers"
-            try:
-                normals = np.asarray(self.normals, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"normals must be {shape}") from exc
-            if normals.shape != (self.j, self.d + 1):
+        if normals is not None:
+            shape = f"a (j, d+1) = ({j}, {self.d + 1}) array of numbers"
+            if normals.shape != (j, self.d + 1):
                 raise DomainError(f"normals must be {shape}, got shape {normals.shape}")
             # the model the sweep builds, checked once before any output exists
-            _build_model(self.d, self.j, normals)
+            _build_model(self.d, j, normals)
             object.__setattr__(self, "normals", tuple(map(tuple, normals.tolist())))
-        if MODEL_SPECS[_runs_as(self)].floored and grid[0] < self.d + 1:
-            raise DomainError(f"{self.model} grid values must be at least d+1")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -191,21 +197,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     payload.pop("output_path")
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
-
-
-def _runs_as(cfg: ExperimentConfig) -> str:
-    """The row that samples `cfg`'s clouds.
-
-    A probe without normals runs on the standard wedge of its j, so its
-    records (streams included) are bit-identical to a direct run of that
-    model, which is the consistency check the probe exists to preserve.
-    """
-    if MODEL_SPECS[cfg.model].j != "j" or cfg.normals is not None:
-        return cfg.model
-    for name, spec in MODEL_SPECS.items():
-        if spec.kind == "uniform" and spec.j == cfg.j:
-            return name
-    raise DomainError(f"probe with j={cfg.j} needs explicit normals")
 
 
 @dataclass(frozen=True)
@@ -341,14 +332,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     if cfg.d >= 3:
         import scipy.spatial  # noqa: F401
 
-    record_model = _runs_as(cfg)
-    kind = MODEL_SPECS[record_model].kind
+    kind = MODEL_SPECS[cfg.model].kind
     # one wedge (and so one projection basis) per sweep; a polygon has none
     model = None if kind == "polygon" else _build_model(cfg.d, cfg.j, cfg.normals)
     token = () if kind == "polygon" else (_normals_token(cfg.normals),)
     payloads = [
         {
-            "record_model": record_model,
+            "record_model": cfg.model,
             "kind": kind,
             "d": cfg.d,
             "j": cfg.j,
@@ -447,7 +437,8 @@ def fit_window(cfg: ExperimentConfig) -> tuple:
     window = cfg.fit_window
     if window is None:
         # a Poisson grid holds intensities on a right-angled (j = 2) wedge
-        scale = wedge_measure(cfg.d, cfg.j) if cfg.model == "poisson" else 1
+        poisson = MODEL_SPECS[cfg.model].kind == "poisson"
+        scale = wedge_measure(cfg.d, cfg.j) if poisson else 1
         window = tuple(g for g in cfg.grid if g * scale >= DEFAULT_MIN_FIT_SIZE)
         if len(window) < 3:
             window = cfg.grid
@@ -540,7 +531,8 @@ def summarize(
             "window": list(fit.grid_points_used),
         },
     }
-    if MODEL_SPECS[cfg.model].slope is _c_d2:
+    spec = MODEL_SPECS[cfg.model]
+    if spec.slope is _c_d2:
         a_d, a_d_se = EXACT_A_D.get(cfg.d), 0.0
         if a_d is None:
             seed = SeedSpec(cfg.master_seed, derive_stream("constants", cfg.d))
@@ -548,7 +540,7 @@ def summarize(
             a_d, a_d_se = report.value, report.std_error
         c_d2 = model_constants(cfg.d, a_d).c_d2
         summary["constants"] = {"A_d": a_d, "A_d_se": a_d_se, "c_d2_theory": c_d2}
-    if cfg.model == "conjecture_probe" and cfg.j >= 2:
+    if spec.j == "normals" and cfg.j >= 2:
         alt = fit_slope(records, window, log_power=float(cfg.j - 1))
         summary["fit_log_power"] = {
             "power": cfg.j - 1,

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -59,6 +61,15 @@ def run_fresh(tmp_path, body: str):
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def readme_commands() -> list:
+    """argv of every `wedgehull simulate|constants|verify` line in README code blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    pattern = re.compile(r"wedgehull (simulate|constants|verify)\b")
+    return [shlex.split(line)[1:] for line in lines if pattern.match(line)]
 
 
 def strip_wall_column(csv_text: str) -> list:
@@ -176,13 +187,11 @@ class TestSimulateCommand:
             csvs.append(strip_wall_column(path.read_text()))
         assert csvs[0] == csvs[1] == csvs[2]
 
-    def test_poisson_needs_gamma_grid(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys,
-            ["simulate", "--model", "poisson", "--grid", "8,16", "--out", str(tmp_path)],
-        )
+    def test_model_needs_grid(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["simulate", "--model", "poisson", "--out", str(tmp_path)])
         assert code == 2
-        assert "gamma-grid" in err
+        assert "--grid" in err
+        assert not list(tmp_path.glob("*"))
 
     def test_model_or_config_required(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["simulate", "--out", str(tmp_path)])
@@ -208,6 +217,84 @@ class TestSimulateCommand:
         assert json.loads(out)["config"]["reps"] == 3
         assert list((tmp_path).glob("binomial_d2_*.csv"))
 
+    def test_config_file_refuses_flags(self, capsys, tmp_path):
+        # each flag below would once have been dropped without a word
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 2,
+                 "master_seed": 5, "output_path": str(dir_a)}
+            )
+        )
+        argv = ["simulate", "--config", str(cfg_path), "--reps", "7", "--model", "halfsphere"]
+        code, out, err = run_cli(capsys, argv + ["--grid", "64,128,256", "--out", str(dir_b)])
+        assert code == 2
+        assert "usage error" in err and "drop --model --grid --reps" in err
+        assert out == ""
+        assert not dir_a.exists() and not dir_b.exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--model", "binomial"],
+            ["--dim", "2"],
+            ["--grid", "8,16,32"],
+            ["--reps", "100"],
+            ["--seed", "0"],
+            ["--ell", "3"],
+            ["--fit-window", "8,16,32"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_config_file_refuses_each_field_flag(self, capsys, tmp_path, flag):
+        # even a flag that repeats the file's value or the flag's default
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 2,
+                        "master_seed": 0})
+        )
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir), *flag]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"drop {flag[0]}" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_out_only_fills_a_null_output_path(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        data = {"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 2, "master_seed": 0}
+        cfg_path.write_text(json.dumps({**data, "output_path": str(tmp_path / "a")}))
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "b")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "sets output_path" in err and out == ""
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+        cfg_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["config"]["output_path"] is None
+        assert list((tmp_path / "b").glob("binomial_d2_*.csv"))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"j": 7}, "binomial has j = 2, not 7"),
+            ({"model": "polygon_baseline", "j": 7}, "polygon_baseline has j = 3, not 7"),
+            ({"model": "conjecture_probe", "j": 2}, "conjecture_probe needs normals"),
+        ],
+    )
+    def test_config_j_that_disagrees_exits_two(self, capsys, tmp_path, extra, message):
+        data = {"model": "binomial", "d": 2, "grid": [8, 16, 32], "reps": 2, "master_seed": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**data, **extra}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"usage error: {message}" in err
+        assert out == "" and not out_dir.exists()
+
     def test_whole_float_point_counts_in_a_config_file(self, capsys, tmp_path):
         outputs = []
         for name, grid in (("ints", [8, 16, 32]), ("floats", [8.0, 16.0, 32.0])):
@@ -229,8 +316,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "option, spellings",
         [
-            (("--model", "poisson", "--gamma-grid"), ("20:160:x2", "20,40,80,160.0")),
-            (("--model", "polygon", "--grid"), ("1e2,2e2,4e2", "100,200,400")),
+            (("--model", "poisson", "--grid"), ("20:160:x2", "20,40,80,160.0")),
+            (("--model", "polygon_baseline", "--grid"), ("1e2,2e2,4e2", "100,200,400")),
         ],
     )
     def test_grid_spellings_are_one_sweep(self, capsys, tmp_path, option, spellings):
@@ -334,11 +421,11 @@ class TestSimulateCommand:
         assert code == 0
         assert list((tmp_path / "env_out").glob("binomial_d2_*.json"))
 
-    def test_polygon_alias(self, capsys, tmp_path):
+    def test_polygon_sides_set_j(self, capsys, tmp_path):
         argv = [
             "simulate",
             "--model",
-            "polygon",
+            "polygon_baseline",
             "--grid",
             "16,32,64",
             "--reps",
@@ -357,7 +444,7 @@ class TestSimulateCommand:
         assert summary["config"]["j"] == 4
 
     def test_polygon_without_ell_describes_its_run(self, capsys, tmp_path):
-        argv = ["simulate", "--model", "polygon", "--grid", "16,32,64", "--reps", "3"]
+        argv = ["simulate", "--model", "polygon_baseline", "--grid", "16,32,64", "--reps", "3"]
         code, out, err = run_cli(capsys, argv + ["--seed", SEED, "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads(out)
@@ -385,21 +472,35 @@ class TestSimulateCommand:
         rows = strip_wall_column(path.read_text())[1:]
         assert len(rows) == 9 and all(int(row[5]) > 0 for row in rows)
 
-    def test_model_spellings(self):
-        parser = cli._build_parser()
-        spellings = (
-            "binomial",
-            "poisson",
-            "halfsphere",
-            "polygon",
-            "polygon_baseline",
-            "probe",
-            "conjecture_probe",
+    def test_simulate_options_are_pinned(self):
+        # a new option or model name has to edit this test on purpose
+        (sub,) = (a for a in cli._build_parser()._actions if a.dest == "command")
+        simulate = sub.choices["simulate"]
+        flags = {s for a in simulate._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == {
+            "--config", "--model", "--dim", "--grid", "--reps",
+            "--seed", "--ell", "--fit-window", "--out", "--workers",
+        }
+        (model,) = (a for a in simulate._actions if a.dest == "model")
+        assert tuple(model.choices) == (
+            "binomial", "poisson", "halfsphere", "polygon_baseline", "conjecture_probe",
         )
-        for spelling in spellings:
-            assert parser.parse_args(["simulate", "--model", spelling]).model == spelling
-        with pytest.raises(SystemExit):
-            parser.parse_args(["simulate", "--model", "wedge"])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--model", "polygon", "--grid", "16,32,64"],
+            ["--model", "probe", "--grid", "16,32,64"],
+            ["--model", "poisson", "--gamma-grid", "20,40,80"],
+            ["--model", "binomial", "--grid", "8,16,32", "--j", "2"],
+        ],
+        ids=["polygon", "probe", "gamma-grid", "j"],
+    )
+    def test_removed_spellings_and_flags_exit_two(self, capsys, tmp_path, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path), *extra])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("*"))
 
     def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def always_degenerate(cloud):
@@ -426,11 +527,11 @@ class TestSimulateCommand:
             ["--grid", "8,16,32", "--workers", "0"],
             ["--grid", "8,16,32", "--workers", "-3"],
             ["--grid", "1e9,2e9,4e9"],  # above MAX_POINTS: refused before any draw
-            ["--model", "poisson", "--gamma-grid", "1e8,2e8,4e8"],  # expected clouds too
+            ["--model", "poisson", "--grid", "1e8,2e8,4e8"],  # expected clouds too
             # summaries that could not be fitted: refused before any replicate
             ["--grid", "4096,8192"],
             ["--grid", "8,16,32", "--fit-window", "16,32"],
-            ["--model", "poisson", "--gamma-grid", "0.25,0.5,1.0"],
+            ["--model", "poisson", "--grid", "0.25,0.5,1.0"],
         ],
     )
     def test_rejected_config_exits_two(self, capsys, tmp_path, extra):
@@ -615,6 +716,16 @@ class TestScipyLoadsWhenCalled:
             print(json.dumps([code, [m for m in loaded() if m.startswith(unwanted)]]))
         """
         assert run_fresh(tmp_path, body) == [0, []]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_parses(argv):
+    # parsed only: a renamed or removed option breaks the example, not a run
+    cli._build_parser().parse_args(argv)
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv in readme_commands()} == {"simulate", "constants", "verify"}
 
 
 def test_unknown_subcommand_exits_two():

@@ -90,7 +90,7 @@ class TestConfig:
             dict(model="binomial"),
             dict(model="halfsphere"),
             dict(model="polygon_baseline", ell=4),
-            dict(model="conjecture_probe", j=2),
+            dict(model="conjecture_probe", normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))),
         ],
     )
     def test_fixed_size_grids_must_be_whole(self, extra):
@@ -103,7 +103,11 @@ class TestConfig:
         [
             dict(grid=(10**9, 2 * 10**9, 4 * 10**9)),
             dict(model="polygon_baseline", grid=(10**3, 10**6, 10**12)),
-            dict(model="conjecture_probe", j=1, grid=(8, 16, geometry.MAX_POINTS + 1)),
+            dict(
+                model="conjecture_probe",
+                normals=((0.0, 0.0, 1.0),),
+                grid=(8, 16, geometry.MAX_POINTS + 1),
+            ),
         ],
     )
     def test_point_counts_are_capped(self, extra):
@@ -142,20 +146,46 @@ class TestConfig:
         cfg = binomial_cfg(fit_window=(8, 16))
         assert cfg.fit_window == (8, 16)
 
-    def test_j_is_normalized_per_model(self):
-        assert binomial_cfg(j=7).j == 2
-        half = ExperimentConfig(
-            model="halfsphere", d=2, grid=(8, 16), reps=2, master_seed=SEED, j=5
-        )
-        assert half.j == 1
-        poly = ExperimentConfig(
-            model="polygon_baseline", d=2, grid=(8, 16), reps=2, master_seed=SEED, ell=5
-        )
-        assert poly.j == 5
-        triangle = ExperimentConfig(
-            model="polygon_baseline", d=2, grid=(8, 16), reps=2, master_seed=SEED, j=7
-        )
-        assert (triangle.ell, triangle.j) == (3, 3)  # a triangle unless ell says otherwise
+    @pytest.mark.parametrize(
+        "extra, j",
+        [
+            (dict(model="binomial"), 2),
+            (dict(model="poisson"), 2),
+            (dict(model="halfsphere"), 1),
+            (dict(model="polygon_baseline"), 3),  # a triangle unless ell says otherwise
+            (dict(model="polygon_baseline", ell=5), 5),
+            (dict(model="conjecture_probe", normals=((0.0, 0.0, 1.0),)), 1),
+            (dict(model="conjecture_probe", normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))), 2),
+        ],
+    )
+    def test_j_follows_from_the_model(self, extra, j):
+        cfg = binomial_cfg(**extra)
+        assert cfg.j == j
+        # a config that states the same j is the same sweep
+        assert binomial_cfg(j=j, **extra) == cfg
+        assert config_hash(binomial_cfg(j=j, **extra)) == config_hash(cfg)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(model="binomial", j=7),
+            dict(model="poisson", j=1),
+            dict(model="halfsphere", j=2),
+            dict(model="polygon_baseline", j=7),  # ell defaults to 3
+            dict(model="polygon_baseline", ell=4, j=5),
+            dict(model="conjecture_probe", j=1, normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))),
+        ],
+    )
+    def test_conflicting_j_is_refused(self, extra):
+        with pytest.raises(DomainError, match="has j = "):
+            binomial_cfg(**extra)
+
+    @pytest.mark.parametrize("j", [None, 1, 2, 3])
+    def test_probe_needs_normals(self, j):
+        # without them it would be the binomial or half-sphere under another name
+        with pytest.raises(DomainError, match="needs normals"):
+            binomial_cfg(model="conjecture_probe", j=j)
 
     def test_polygon_guards(self):
         with pytest.raises(DomainError):
@@ -175,10 +205,9 @@ class TestConfig:
             binomial_cfg(model=model, ell=ell)
 
     def test_probe_j_range(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                model="conjecture_probe", d=2, grid=(8, 16), reps=2, master_seed=SEED, j=3
-            )
+        normals = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        with pytest.raises(DomainError, match="1 <= j <= d"):
+            binomial_cfg(model="conjecture_probe", normals=normals)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -271,10 +300,11 @@ class TestRunners:
             ExperimentConfig(model="binomial", d=2, grid=(2, 8), reps=1, master_seed=SEED)
         with pytest.raises(DomainError):
             ExperimentConfig(model="polygon_baseline", d=2, grid=(2, 8), reps=1, master_seed=SEED)
-        with pytest.raises(DomainError):  # a probe without normals runs as the binomial
-            ExperimentConfig(
-                model="conjecture_probe", d=2, grid=(2, 8), reps=1, master_seed=SEED, j=2
-            )
+        # every fixed-size model: a cloud of fewer than d+1 points spans no facet
+        normals = ((_S, _S, 0.0), (0.0, 0.0, 1.0))
+        for extra in (dict(model="halfsphere"), dict(model="conjecture_probe", normals=normals)):
+            with pytest.raises(DomainError, match="at least d\\+1"):
+                ExperimentConfig(d=2, grid=(2, 8), reps=1, master_seed=SEED, **extra)
 
     def test_tiny_poisson_clouds_record_zero_facets(self):
         cfg = ExperimentConfig(
@@ -378,27 +408,29 @@ class TestRunners:
 
 
 class TestProbeDelegation:
-    def test_j2_matches_binomial(self):
+    """A probe samples the uniform wedge of its normals; its records carry its name."""
+
+    @staticmethod
+    def _probe_and_direct(model, normals):
         grid, reps = (8, 16), 3
-        probe = ExperimentConfig(
-            model="conjecture_probe", d=2, grid=grid, reps=reps, master_seed=SEED, j=2
+        probe, direct = (
+            ExperimentConfig(
+                model=name, d=2, grid=grid, reps=reps, master_seed=SEED, normals=normals
+            )
+            for name in ("conjecture_probe", model)
         )
-        direct = ExperimentConfig(
-            model="binomial", d=2, grid=grid, reps=reps, master_seed=SEED
-        )
-        assert probe.model == "conjecture_probe"
-        assert strip_wall(run_experiment(probe)) == strip_wall(run_experiment(direct))
+        assert probe.j == direct.j == len(normals)
+        return run_experiment(probe), run_experiment(direct)
+
+    def test_j2_matches_binomial(self):
+        probe, direct = self._probe_and_direct("binomial", ((_S, _S, 0.0), (0.0, 0.0, 1.0)))
+        assert {r.model for r in probe} == {"conjecture_probe"}
+        assert [row[1:] for row in strip_wall(probe)] == [row[1:] for row in strip_wall(direct)]
 
     def test_j1_matches_halfsphere(self):
-        grid, reps = (8, 16), 3
-        probe = ExperimentConfig(
-            model="conjecture_probe", d=2, grid=grid, reps=reps, master_seed=SEED, j=1
-        )
-        direct = ExperimentConfig(
-            model="halfsphere", d=2, grid=grid, reps=reps, master_seed=SEED
-        )
-        assert probe.model == "conjecture_probe"
-        assert strip_wall(run_experiment(probe)) == strip_wall(run_experiment(direct))
+        probe, direct = self._probe_and_direct("halfsphere", ((0.0, _S, _S),))
+        assert {r.model for r in probe} == {"conjecture_probe"}
+        assert [row[1:] for row in strip_wall(probe)] == [row[1:] for row in strip_wall(direct)]
 
     def test_j3_needs_normals(self):
         with pytest.raises(DomainError):
@@ -418,7 +450,6 @@ class TestProbeDelegation:
             grid=(16, 32, 64),
             reps=8,
             master_seed=SEED,
-            j=3,
             normals=normals,
         )
         records = run_experiment(cfg)
@@ -465,7 +496,11 @@ class TestPolygonBaseline:
         )
         records = run_experiment(cfg)
         assert all(r.j == 3 for r in records)  # default is a triangle
-        records5 = run_experiment(ExperimentConfig(**{**cfg.to_dict(), "ell": 5}))
+        # the config's j is its ell, so a pentagon is a new config, not an edited dict
+        pentagon = ExperimentConfig(
+            model="polygon_baseline", d=2, grid=(32, 64), reps=3, master_seed=SEED, ell=5
+        )
+        records5 = run_experiment(pentagon)
         assert all(r.j == 5 for r in records5)
 
     def test_means_grow_with_size(self):
