@@ -4,25 +4,30 @@ Covers the cap measure I2 of a wedge sliced by a hyperplane together
 with its lower bound and small-angle asymptotics, Girard's triangle area,
 the parallelotope constant A_d with the derived slope constant c_{d,2},
 and the stabilized quotient f(x, y) whose lower bound drives the
-small-angle estimates.  The appendix inequalities themselves are checked
+small-angle estimates; also the composite Gauss-Legendre rule that the
+quadratures share.  The appendix inequalities themselves are checked
 on interior grids by suites.suite_appendix; the wedge measure is
 geometry.wedge_measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .geometry import BLOCK_ROWS, determinant, omega, row_blocks
+from .geometry import BLOCK_ROWS, cofactor_normals, determinant, omega, row_blocks, row_norms
 from .sampling import SeedSpec, _beta_prime
 
 # Samples per substream of estimate_A_d: it fixes which draws each sample
 # takes, so changing it changes the estimate's bits.
 _A_D_CHUNK = 1 << 20
+
+# Gauss-Legendre points per panel of _gauss_legendre_panels.
+_GL_ORDER = 8
 
 # A_d known in closed form.  At d = 2 the rows are (u_i, 1), so A_2 = E|u_1 - u_2| = 2/3.
 EXACT_A_D = {2: 2.0 / 3.0}
@@ -78,35 +83,47 @@ def _svd_volume(vectors: np.ndarray) -> np.ndarray:
 
 
 def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
-    """Volume spanned by row vectors, batched over leading axes.
+    """Volume spanned by m row vectors in R^k, batched over leading axes.
 
     Products of singular values equal the Gram-determinant square root but
     stay nonnegative near rank deficiency; stacks whose smallest singular
-    value is below 1e-14 of the largest are snapped to exactly zero.
+    value is below 1e-14 of the largest are snapped to exactly zero.  Stacks
+    with m < k - 1 always take this SVD route.
 
-    Square stacks use |det| instead: |ad - bc| for k = 2, the cofactor
-    expansion along the first row for k = 3, LU beyond.  A stack the SVD
-    rule would snap has |det| <= s_min s_max^(k-1) <= 1e-14 ||A||_F^k, so
-    every stack with |det| <= 1e-13 ||A||_F^k goes through the SVD rule and
-    snapped stacks still come out exactly zero.  The factor 10 covers the
-    rounding: each closed form sums k! products of k entries with at most
-    k + 2 roundings each, so it is off by at most about (k + 2) u perm(|A|)
-    <= 5 u ||A||_F^k < 6e-16 ||A||_F^k (u = 2^-53; perm(|A|) <= the product
-    of the row 1-norms <= ||A||_F^k).  For k >= 4 it covers LU's rounding.
+    Square stacks (m = k) use |det| instead: |ad - bc| for k = 2, the
+    cofactor expansion along the first row for k = 3, LU beyond.  Stacks one
+    row short (m = k - 1) use the norm of their geometry.cofactor_normals
+    vector, which is the volume by Cauchy-Binet; at k = 3 it is |np.cross|
+    bit for bit.
+
+    A stack the SVD rule would snap has volume <= s_min s_max^(m-1)
+    <= 1e-14 ||A||_F^m, so every stack whose volume comes out at most
+    1e-13 ||A||_F^m goes through the SVD rule, and snapped stacks still come
+    out exactly zero.  The factor 10 covers the rounding: each closed-form
+    m x m determinant sums m! products of m entries with at most m + 2
+    roundings each, so it is off by at most about (m + 2) u perm(|A|)
+    <= 5 u ||A||_F^m < 6e-16 ||A||_F^m (u = 2^-53; perm(|A|) <= the product
+    of the row 1-norms <= ||A||_F^m).  At m = k - 1 each of the k cofactors
+    is such a determinant of a minor, whose norm is at most ||A||_F, so
+    their norm is off by at most sqrt(k) 5 u ||A||_F^m, still under the cut.
+    For m >= 4 the factor covers LU's rounding.
 
     A NaN or infinite entry raises DomainError.  Such a stack always fails
-    the |det| test, so only the stacks sent to the SVD are checked; finite
+    the volume test, so only the stacks sent to the SVD are checked; finite
     stacks that overflow still give inf or 0.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, k = vectors.shape[-2], vectors.shape[-1]
     if m > k:
         raise DomainError("more vectors than ambient dimensions")
-    if m < k:
+    if m < k - 1:
         return _svd_volume(vectors)[()]
     stacks = vectors.reshape(-1, m, k)
-    volume = np.abs(determinant(stacks))
-    scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (k / 2.0)
+    if m == k:
+        volume = np.abs(determinant(stacks))
+    else:
+        volume = row_norms(cofactor_normals(stacks))
+    scale = np.einsum("ijk,ijk->i", stacks, stacks) ** (m / 2.0)
     # negated so that non-finite and overflowed stacks also take the SVD path
     unsure = ~(volume > 1e-13 * scale)
     if np.any(unsure):
@@ -256,3 +273,33 @@ def appendix_f(x, y):
         vals[pos] = (xp - np.arcsin(np.sin(xp) * np.cos(yp))) / (xp * yp ** 2)
         out[big] = vals
     return out[()]
+
+
+@functools.cache
+def _legendre_rule():
+    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Built on first call rather than at import, which keeps numpy.polynomial
+    out of the package import.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_GL_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_legendre_panels(cuts, counts):
+    """Nodes and weights of a composite Gauss-Legendre rule.
+
+    The interval between cuts[i] and cuts[i+1] is split into counts[i]
+    equal panels, and each panel gets _legendre_rule().
+    """
+    edges = [cuts[0]]
+    for lo, hi, count in zip(cuts, cuts[1:], counts):
+        edges.extend(np.linspace(lo, hi, count + 1)[1:])
+    edges = np.asarray(edges)
+    half = np.diff(edges)[:, None] / 2.0
+    mid = (edges[:-1] + edges[1:])[:, None] / 2.0
+    x, w = _legendre_rule()
+    return (mid + half * x).ravel(), (half * w).ravel()

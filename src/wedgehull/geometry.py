@@ -69,20 +69,57 @@ def row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _closed_form_det(rows, cols) -> np.ndarray:
+    """Determinant of the 2 x 2 or 3 x 3 matrices whose entry (r, c) is rows[r][cols[c]].
+
+    Each rows[r][c] is one entry across a batch, so one call covers a whole
+    stack; the 3 x 3 form expands along the first row.
+    """
+    if len(cols) == 2:
+        a, b = cols
+        return rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
+    a, b, c = cols
+    r0, r1, r2 = rows
+    return (
+        r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
+        - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
+        + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
+    )
+
+
 def determinant(stacks: np.ndarray) -> np.ndarray:
     """Signed determinants of a (count, k, k) stack: closed forms for k = 2, 3, LU beyond."""
     k = stacks.shape[-1]
-    if k == 2:
-        a, b, c, d = stacks[:, 0, 0], stacks[:, 0, 1], stacks[:, 1, 0], stacks[:, 1, 1]
-        return a * d - b * c
-    if k == 3:
-        r0, r1, r2 = stacks[:, 0], stacks[:, 1], stacks[:, 2]
-        return (
-            r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
-            - r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
-            + r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0])
-        )
+    if k in (2, 3):
+        return _closed_form_det(stacks.transpose(1, 2, 0), range(k))
     return np.linalg.det(stacks)
+
+
+def cofactor_normals(stacks: np.ndarray) -> np.ndarray:
+    """Generalized cross products of a (count, d, d+1) stack, one row per stack.
+
+    Entry i of a row is the cofactor (-1)^i det(stack without column i): a
+    direction orthogonal to all d rows of its stack, whose norm is the
+    d-volume they span (Cauchy-Binet).  At d = 2 it is np.cross bit for bit.
+    Each minor reads a fixed list of columns: the closed forms of
+    determinant at d = 2, 3 read them in place, and d = 1 or d >= 4 copies
+    them for LU.
+
+    The result is the transpose of a C-ordered (d+1, count) array, so each
+    cofactor is one contiguous array: row_norms sums contiguous columns, and
+    the transpose feeds a matrix product without a copy.
+    """
+    count, d, amb = stacks.shape
+    rows = stacks.transpose(1, 2, 0)
+    normals = np.empty((amb, count))
+    for i in range(amb):
+        cols = [c for c in range(amb) if c != i]
+        if d in (2, 3):
+            minor = _closed_form_det(rows, cols)
+        else:
+            minor = np.linalg.det(np.take(stacks, cols, axis=2))
+        np.multiply(minor, (-1.0) ** i, out=normals[i])
+    return normals.T
 
 
 def omega(k: int) -> float:

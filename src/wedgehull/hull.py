@@ -23,7 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, ResourceLimit
-from .geometry import BLOCK_ROWS, WedgeModel, determinant, gnomonic_project, row_blocks, row_norms
+from .geometry import (
+    BLOCK_ROWS,
+    WedgeModel,
+    cofactor_normals,
+    gnomonic_project,
+    row_blocks,
+    row_norms,
+)
 from .sampling import SampleCloud
 
 SIGN_TOL = 1e-10
@@ -65,17 +72,6 @@ def _subset_batches(n: int, d: int):
         yield flat.reshape(-1, d)
 
 
-def _generalized_cross(stack: np.ndarray) -> np.ndarray:
-    # Row i of the result is the cofactor (-1)^i det(stack minus column i),
-    # the unique direction orthogonal to all d rows (up to sign and scale).
-    m, d, amb = stack.shape
-    normals = np.empty((m, amb))
-    for i in range(amb):
-        minor = np.delete(stack, i, axis=2)
-        normals[:, i] = (-1.0) ** i * determinant(minor)
-    return normals
-
-
 def euler_relation_holds(facets, vertex_count: int, d: int) -> bool:
     """Whether simplicial facets on vertex_count vertices count like a (d-1)-sphere.
 
@@ -99,6 +95,14 @@ def facets_ambient(cloud: SampleCloud) -> FacetSet:
 
     O(C(n, d) * n); dimension-generic.  Subsets whose hyperplane leaves
     some other point within tolerance of zero are excluded and flagged.
+
+    Subsets are scanned in blocks of m, one column per subset: the block's
+    normals are a C-ordered (d+1, m) array, the dots of every point with
+    every normal an (n, m) array, and each per-subset reduction runs down
+    axis 0: the largest |dot|, the count of dots within the threshold, the
+    subset's own dots, and the max and min that decide one-sidedness.
+    numpy reduces down axis 0 a whole row at a time, while a reduction
+    along rows of only n entries pays its setup once per row.
     """
     points = _cloud_points(cloud)
     n, amb = points.shape
@@ -110,23 +114,25 @@ def facets_ambient(cloud: SampleCloud) -> FacetSet:
     facets = set()
     degenerate = False
     for subsets in _subset_batches(n, d):
-        stack = points[subsets]
-        normals = _generalized_cross(stack)
+        m = subsets.shape[0]
+        # np.take gathers far faster than indexing with a 2-D index array
+        normals = cofactor_normals(np.take(points, subsets, axis=0))
         z_norms = row_norms(normals)
-        dots = normals @ points.T
-        scale = np.maximum(np.abs(dots).max(axis=1), z_norms)
+        dots = points @ normals.T
+        high, low = dots.max(axis=0), dots.min(axis=0)
+        scale = np.maximum(np.maximum(high, -low), z_norms)
         thr = SIGN_TOL * np.maximum(scale, 1e-300)
-        pos = (dots > thr[:, None]).sum(axis=1)
-        neg = (dots < -thr[:, None]).sum(axis=1)
-        own = np.take_along_axis(dots, subsets, axis=1)
-        own_clean = (np.abs(own) <= thr[:, None]).all(axis=1)
-        ambiguous = (n - d) - pos - neg
-        clean = own_clean & (z_norms > 1e-12) & (ambiguous == 0)
-        is_facet = clean & ((pos == 0) | (neg == 0))
+        near = np.abs(dots) <= thr
+        # near[subsets[s, r], s] for each of the d points r of subset s
+        own_clean = near.ravel()[subsets.T * m + np.arange(m)].all(axis=0)
+        # with its own d points near, a subset is unambiguous when no other
+        # point is; an int32 count runs about 3x faster than the default intp
+        unambiguous = near.sum(axis=0, dtype=np.int32) == d
+        clean = own_clean & (z_norms > 1e-12) & unambiguous
+        is_facet = clean & ((high <= thr) | (low >= -thr))
         if not bool(np.all(clean)):
             degenerate = True
-        for row in subsets[is_facet]:
-            facets.add(tuple(int(i) for i in row))
+        facets.update(map(tuple, subsets[is_facet].tolist()))
     vertex_count = len({i for facet in facets for i in facet})
     return FacetSet(facets=frozenset(facets), vertex_count=vertex_count, degenerate_flag=degenerate)
 

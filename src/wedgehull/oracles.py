@@ -14,14 +14,13 @@ function's body, so importing this module does not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .formulas import EstimatorReport, parallelotope_volume
+from .formulas import EstimatorReport, _gauss_legendre_panels, parallelotope_volume
 from .geometry import (
     CHART_TOL,
     WedgeModel,
@@ -36,11 +35,10 @@ from .sampling import _BATCH, SeedSpec, sample_uniform_sphere
 
 _MIN_SAMPLES = 10**4
 _QUAD_RTOL = 1e-8
-# Gauss-Legendre points per panel, and the panel width in log n of the
-# limit lemma's coarser rule; on the suite's budgets that rule differs from
-# the finer one by 4e-12 to 3e-9 relative, above the ~3e-13 floor that
-# scipy's betainc sets and below the 10 * _QUAD_RTOL error test
-_GL_ORDER = 8
+# The panel width in log n of the limit lemma's coarser rule; on the
+# suite's budgets that rule differs from the finer one by 4e-12 to 3e-9
+# relative, above the ~3e-13 floor that scipy's betainc sets and below the
+# 10 * _QUAD_RTOL error test
 _LIMIT_PANEL_WIDTH = 2.0
 
 
@@ -203,36 +201,6 @@ class LimitLemmaReport:
     @property
     def final_relative_gap(self) -> float:
         return abs(self.ratios[-1] - self.target) / self.target
-
-
-@functools.cache
-def _legendre_rule():
-    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
-
-    Built on first call rather than at import, which keeps numpy.polynomial
-    out of the package import.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(_GL_ORDER)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _gauss_legendre_panels(cuts, counts):
-    """Nodes and weights of a composite Gauss-Legendre rule.
-
-    The interval between cuts[i] and cuts[i+1] is split into counts[i]
-    equal panels, and each panel gets _legendre_rule().
-    """
-    edges = [cuts[0]]
-    for lo, hi, count in zip(cuts, cuts[1:], counts):
-        edges.extend(np.linspace(lo, hi, count + 1)[1:])
-    edges = np.asarray(edges)
-    half = np.diff(edges)[:, None] / 2.0
-    mid = (edges[:-1] + edges[1:])[:, None] / 2.0
-    x, w = _legendre_rule()
-    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _limit_integral(d: int, alpha: float, n: float, epsilon: float, width: float):

@@ -24,6 +24,7 @@ from wedgehull import (
     parallelotope_volume,
     wedge_measure,
 )
+from wedgehull.geometry import cofactor_normals, row_norms
 
 from .conftest import make_seed
 
@@ -118,9 +119,9 @@ def svd_volume(mats):
     return np.prod(np.linalg.svd(mats, compute_uv=False), axis=-1)
 
 
-def nearly_dependent(rng, k, count):
-    """Stacks whose second row is the first plus a 1e-16 perturbation."""
-    mats = rng.uniform(-0.5, 0.5, size=(count, k, k))
+def nearly_dependent(rng, k, count, rows=None):
+    """(count, rows or k, k) stacks whose second row is the first plus 1e-16 noise."""
+    mats = rng.uniform(-0.5, 0.5, size=(count, rows or k, k))
     mats[:, 1] = mats[:, 0] + 1e-16 * rng.normal(size=(count, k))
     return mats
 
@@ -211,6 +212,68 @@ class TestParallelotopeVolume:
         error = np.abs(vols - np.abs(np.linalg.det(mats)))[above]
         assert np.all(error <= 1e-14 * scale[above])
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    def test_one_row_short_stacks_match_svd_route(self, rng, k, lead):
+        vecs = rng.normal(size=lead + (k - 1, k))
+        vols = parallelotope_volume(vecs)
+        assert np.shape(vols) == lead
+        np.testing.assert_allclose(vols, svd_volume(vecs), rtol=1e-12, atol=0.0)
+
+    def test_planar_pairs_give_the_cross_product_norm(self, rng):
+        pairs = rng.normal(size=(10**4, 2, 3))
+        expected = np.linalg.norm(np.cross(pairs[:, 0], pairs[:, 1]), axis=1)
+        got = parallelotope_volume(pairs)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_nearly_dependent_one_row_short_stacks_are_exactly_zero(self, rng, k):
+        vecs = nearly_dependent(rng, k, 40, rows=k - 1)
+        # the cofactor norm alone would report these tiny volumes; the SVD fallback snaps them
+        assert np.any(row_norms(cofactor_normals(vecs)) != 0.0)
+        assert np.all(parallelotope_volume(vecs) == 0.0)
+
+    def test_one_row_short_fallback_sees_only_unsure_stacks(self, rng, monkeypatch):
+        vecs = rng.normal(size=(20, 3, 4))
+        vecs[::2] = nearly_dependent(rng, 4, 10, rows=3)
+        sent = []
+        real = formulas._svd_volume
+
+        def spy(stacks):
+            sent.append(stacks.copy())
+            return real(stacks)
+
+        monkeypatch.setattr(formulas, "_svd_volume", spy)
+        vols = parallelotope_volume(vecs)
+        assert len(sent) == 1 and np.array_equal(sent[0], vecs[::2])
+        assert np.all(vols[::2] == 0.0)
+        np.testing.assert_allclose(vols[1::2], svd_volume(vecs[1::2]), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_one_row_short_nan_and_overflow_take_the_svd_path(self, k, monkeypatch):
+        sent = []
+        real = formulas._svd_volume
+
+        def spy(stacks):
+            sent.append(len(stacks))
+            return real(stacks)
+
+        monkeypatch.setattr(formulas, "_svd_volume", spy)
+        nan_entry = np.eye(k - 1, k)
+        nan_entry[0, 0] = np.nan
+        inf_entry = np.eye(k - 1, k)
+        inf_entry[0, 1] = np.inf
+        # the volume is finite, ||A||_F^(k-1) is not
+        huge_scale = np.diag([1e160] + [1e-160] * (k - 2) + [1.0])[: k - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="finite"):
+                parallelotope_volume(nan_entry)
+            assert parallelotope_volume(1e200 * np.eye(k - 1, k)) == np.inf
+            with pytest.raises(DomainError, match="finite"):
+                parallelotope_volume(inf_entry)
+            assert parallelotope_volume(huge_scale) == 0.0
+        assert sent == [1, 1, 1, 1]
+
     def test_axis_aligned(self):
         assert parallelotope_volume(np.diag([2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)
 
@@ -235,7 +298,7 @@ class TestParallelotopeVolume:
             ((64, 2, 2), "f46d5e3deeccd71cd609b8caeb392a38"),
             ((64, 3, 3), "b55ee516a87e57080a65f1133911ef3b"),
             ((64, 4, 4), "aa99ea7ac134a17a314323be6379ec71"),
-            ((64, 2, 3), "db4f568df041d1f96bca471f48fd12c6"),
+            ((64, 2, 3), "c67aa9126106ffc3fe727ddeedac28b8"),
             ((64, 3, 5), "ba66c6d171a861a24715d66bb9c82397"),
         ],
     )

@@ -25,8 +25,8 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.geometry import BLOCK_ROWS
-from wedgehull.hull import _generalized_cross, _hull2d, _orient, _prune_interior
+from wedgehull.geometry import BLOCK_ROWS, cofactor_normals
+from wedgehull.hull import FacetSet, _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
 
@@ -386,11 +386,23 @@ class TestOrient:
         assert bool(calls) != float_path
 
 
+def duplicate_point_cloud(model):
+    """A sampled cloud with its point 3 repeated at the end."""
+    base = cloud_of(model, ("dup",), 12).points
+    return manual_cloud(model, np.vstack([base, base[3]]))
+
+
+def collinear_triple_cloud(model):
+    """A sampled cloud plus the midpoint of the great arc between its first two points."""
+    base = cloud_of(model, ("coll",), 8).points
+    c = base[0] + base[1]
+    c /= np.linalg.norm(c)
+    return manual_cloud(model, np.vstack([base, c]))
+
+
 class TestDegenerateDetection:
     def test_duplicate_point_flags_both_routes(self, wedge2):
-        base = cloud_of(wedge2, ("dup",), 12).points
-        pts = np.vstack([base, base[3]])
-        cloud = manual_cloud(wedge2, pts)
+        cloud = duplicate_point_cloud(wedge2)
         assert facets_ambient(cloud).degenerate_flag
         assert facets_projected(cloud).degenerate_flag
 
@@ -401,12 +413,7 @@ class TestDegenerateDetection:
         assert edges == [(0, 3)]
 
     def test_ambient_flags_spherically_collinear_triple(self, wedge3):
-        base = cloud_of(wedge3, ("coll",), 8).points
-        a, b = base[0], base[1]
-        c = a + b
-        c /= np.linalg.norm(c)
-        cloud = manual_cloud(wedge3, np.vstack([base, c]))
-        assert facets_ambient(cloud).degenerate_flag
+        assert facets_ambient(collinear_triple_cloud(wedge3)).degenerate_flag
 
 
 def _unit_rows(rows):
@@ -476,6 +483,67 @@ class TestDualRouteOnRimClouds:
         a = facets_ambient(cloud)
         p = facets_projected(cloud)
         assert a.facets == p.facets or (a.degenerate_flag and p.degenerate_flag)
+
+
+def reference_facets(cloud):
+    """facets_ambient's answer, one subset at a time, from the module docstring.
+
+    A d-subset spans a facet when the hyperplane through it leaves every
+    other point strictly on one side.  The subset is excluded and the scan
+    flagged when its normal vanishes, one of its own points is off the
+    hyperplane, or another point is on it, each within SIGN_TOL of the
+    largest of |normal| and the |dots|.
+    """
+    points = cloud.points
+    n, amb = points.shape
+    facets, flagged = set(), False
+    for subset in itertools.combinations(range(n), amb - 1):
+        normal = cofactor_normals(points[None, list(subset)])[0]
+        dots = (points @ normal).tolist()
+        size = math.hypot(*normal)
+        thr = hull.SIGN_TOL * max(max(abs(v) for v in dots), size, 1e-300)
+        own = [dots[i] for i in subset]
+        others = [v for i, v in enumerate(dots) if i not in subset]
+        if size <= 1e-12 or any(abs(v) > thr for v in own) or any(abs(v) <= thr for v in others):
+            flagged = True
+        elif all(v > thr for v in others) or all(v < -thr for v in others):
+            facets.add(subset)
+    vertex_count = len({i for facet in facets for i in facet})
+    return FacetSet(facets=frozenset(facets), vertex_count=vertex_count, degenerate_flag=flagged)
+
+
+class TestAmbientScanAgainstReference:
+    """The blocked, column-major scan against reference_facets."""
+
+    @pytest.mark.parametrize("d, n", [(2, 25), (3, 16), (4, 11)])
+    def test_generic_clouds(self, d, n):
+        model = WedgeModel.right_angle(d)
+        for rep in range(3):
+            cloud = cloud_of(model, ("reference", d, rep), n)
+            assert facets_ambient(cloud) == reference_facets(cloud)
+
+    def test_subsets_spanning_two_blocks(self, wedge2):
+        # C(100, 2) = 4950 subsets: one block of BLOCK_ROWS and one of 854
+        assert [len(b) for b in hull._subset_batches(100, 2)] == [BLOCK_ROWS, 4950 - BLOCK_ROWS]
+        cloud = cloud_of(wedge2, ("reference", "blocks"), 100)
+        assert facets_ambient(cloud) == reference_facets(cloud)
+
+    @pytest.mark.parametrize("which", ["rim_triple", "repeated_vertex", "duplicate", "collinear"])
+    def test_adversarial_clouds(self, which):
+        cloud = {
+            "rim_triple": lambda: RIM_TRIPLE,
+            "repeated_vertex": lambda: REPEATED_VERTEX,
+            "duplicate": lambda: duplicate_point_cloud(WedgeModel.right_angle(2)),
+            "collinear": lambda: collinear_triple_cloud(WedgeModel.right_angle(3)),
+        }[which]()
+        reference = reference_facets(cloud)
+        assert reference.degenerate_flag
+        assert facets_ambient(cloud) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(rim_clouds())
+    def test_rim_clouds(self, cloud):
+        assert facets_ambient(cloud) == reference_facets(cloud)
 
 
 def _boundary(vertices, facet_size):
@@ -604,18 +672,19 @@ class TestResourceAndInputGuards:
 class TestGeneralizedCross:
     def test_planar_normals_are_the_cross_product(self, rng):
         stack = rng.normal(size=(1000, 2, 3))
-        got = _generalized_cross(stack)
+        got = cofactor_normals(stack)
         expected = np.cross(stack[:, 0], stack[:, 1])
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_normals_are_orthogonal_to_every_row(self, rng, d):
         stack = rng.normal(size=(1000, d, d + 1))
-        normals = _generalized_cross(stack)
+        normals = cofactor_normals(stack)
         dots = np.einsum("mda,ma->md", stack, normals)
         scale = np.linalg.norm(stack, axis=2) * np.linalg.norm(normals, axis=1)[:, None]
         assert np.all(np.abs(dots) <= 1e-13 * scale)
         assert np.all(np.linalg.norm(normals, axis=1) > 0.0)
+
 
 
 B = BLOCK_ROWS
