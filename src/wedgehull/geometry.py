@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -69,6 +70,16 @@ def row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _expand_first_row(r0, cols, minors) -> np.ndarray:
+    """3 x 3 determinants on cols (a, b, c), expanded along the first row r0.
+
+    minors holds the 2 x 2 minors of the other two rows, keyed by ascending
+    column pairs.
+    """
+    a, b, c = cols
+    return r0[a] * minors[b, c] - r0[b] * minors[a, c] + r0[c] * minors[a, b]
+
+
 def _closed_form_det(rows, cols) -> np.ndarray:
     """Determinant of the 2 x 2 or 3 x 3 matrices whose entry (r, c) is rows[r][cols[c]].
 
@@ -78,13 +89,8 @@ def _closed_form_det(rows, cols) -> np.ndarray:
     if len(cols) == 2:
         a, b = cols
         return rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
-    a, b, c = cols
-    r0, r1, r2 = rows
-    return (
-        r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
-        - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
-        + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
-    )
+    minors = {pair: _closed_form_det(rows[1:], pair) for pair in combinations(cols, 2)}
+    return _expand_first_row(rows[0], cols, minors)
 
 
 def determinant(stacks: np.ndarray) -> np.ndarray:
@@ -103,7 +109,9 @@ def cofactor_normals(stacks: np.ndarray) -> np.ndarray:
     d-volume they span (Cauchy-Binet).  At d = 2 it is np.cross bit for bit.
     Each minor reads a fixed list of columns: the closed forms of
     determinant at d = 2, 3 read them in place, and d = 1 or d >= 4 copies
-    them for LU.
+    them for LU.  At d = 3 the six 2 x 2 minors of rows 1-2 are computed
+    once, each for the two cofactors that share it; every cofactor is then
+    the expression determinant evaluates, with the same bits.
 
     The result is the transpose of a C-ordered (d+1, count) array, so each
     cofactor is one contiguous array: row_norms sums contiguous columns, and
@@ -111,11 +119,16 @@ def cofactor_normals(stacks: np.ndarray) -> np.ndarray:
     """
     count, d, amb = stacks.shape
     rows = stacks.transpose(1, 2, 0)
+    if d == 3:
+        # each 2 x 2 minor of rows 1-2 serves two of the four 3 x 3 cofactors
+        minors = {pair: _closed_form_det(rows[1:], pair) for pair in combinations(range(amb), 2)}
     normals = np.empty((amb, count))
     for i in range(amb):
         cols = [c for c in range(amb) if c != i]
-        if d in (2, 3):
+        if d == 2:
             minor = _closed_form_det(rows, cols)
+        elif d == 3:
+            minor = _expand_first_row(rows[0], cols, minors)
         else:
             minor = np.linalg.det(np.take(stacks, cols, axis=2))
         np.multiply(minor, (-1.0) ** i, out=normals[i])

@@ -61,15 +61,37 @@ def _cloud_points(cloud) -> np.ndarray:
 
 
 def _subset_batches(n: int, d: int):
-    combos = itertools.combinations(range(n), d)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, BLOCK_ROWS)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, d)
+    """The d-subsets of range(n) in lexicographic order, BLOCK_ROWS rows at a time.
+
+    The same blocks as itertools.combinations cut by islice(BLOCK_ROWS),
+    built in numpy.  The table of prefixes grows one position k at a time:
+    a prefix whose entry k-1 is p goes on with each of p+1, ..., n-d+k, so
+    np.repeat copies its row that many times, and column k numbers the
+    copies from the run ends that cumsum gives.  The last position is
+    expanded the same way, but one block at a time from the runs the block
+    overlaps, so memory stays at the table of (d-1)-prefixes plus a block.
+    """
+    table = np.full((1, d), -1, dtype=np.int64)
+    for k in range(d):
+        # at k = 0, column k - 1 is the last column, still at its fill value -1
+        counts = n - d + k - table[:, k - 1]
+        ends = counts.cumsum()
+        table[:, k] = n - d + k + 1 - ends
+        if k == d - 1:
+            break
+        table = np.repeat(table, counts, axis=0)
+        table[:, k] += np.arange(len(table))
+    total = int(ends[-1])
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
+        first, final = ends.searchsorted((start, stop - 1), side="right")
+        # the rows of each overlapped run inside [start, stop)
+        runs = counts[first : final + 1].copy()
+        runs[0] -= start - (ends[first] - counts[first])
+        runs[-1] -= ends[final] - stop
+        block = np.repeat(table[first : final + 1], runs, axis=0)
+        block[:, -1] += np.arange(start, stop)
+        yield block
 
 
 def euler_relation_holds(facets, vertex_count: int, d: int) -> bool:
@@ -102,7 +124,9 @@ def facets_ambient(cloud: SampleCloud) -> FacetSet:
     axis 0: the largest |dot|, the count of dots within the threshold, the
     subset's own dots, and the max and min that decide one-sidedness.
     numpy reduces down axis 0 a whole row at a time, while a reduction
-    along rows of only n entries pays its setup once per row.
+    along rows of only n entries pays its setup once per row.  Once the max
+    and min are read, the absolute dots overwrite the dots in place, so a
+    block allocates no second (n, m) float array.
     """
     points = _cloud_points(cloud)
     n, amb = points.shape
@@ -122,9 +146,9 @@ def facets_ambient(cloud: SampleCloud) -> FacetSet:
         high, low = dots.max(axis=0), dots.min(axis=0)
         scale = np.maximum(np.maximum(high, -low), z_norms)
         thr = SIGN_TOL * np.maximum(scale, 1e-300)
-        near = np.abs(dots) <= thr
+        near = np.abs(dots, out=dots) <= thr
         # near[subsets[s, r], s] for each of the d points r of subset s
-        own_clean = near.ravel()[subsets.T * m + np.arange(m)].all(axis=0)
+        own_clean = np.take(near, subsets.T * m + np.arange(m)).all(axis=0)
         # with its own d points near, a subset is unambiguous when no other
         # point is; an int32 count runs about 3x faster than the default intp
         unambiguous = near.sum(axis=0, dtype=np.int32) == d

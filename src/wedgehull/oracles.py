@@ -52,8 +52,11 @@ def mc_cap_measure(
     _BATCH sphere points is drawn once, on its own substream, and tested
     for wedge membership once.  So each estimate has the law and the bits
     of a one-row call on the same seed, and only the k estimates of one
-    call depend on each other.  Each direction gets its own matrix-vector
-    product; a (chunk, k) product would be a large temporary.
+    call depend on each other.  The chunk's in-wedge rows (about 2^-j of
+    them) are copied out once, and each direction counts its hits among
+    them with its own matrix-vector product: the hits of a test on every
+    point masked by membership, at a fraction of the work.  A (rows, k)
+    product would be a large temporary.
     """
     directions = np.ascontiguousarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != model.d + 1 or not len(directions):
@@ -67,9 +70,9 @@ def mc_cap_measure(
     for chunk_index, done in enumerate(range(0, sample_count, _BATCH)):
         chunk_seed = seed.substream("cap_measure", chunk_index)
         points = sample_uniform_sphere(model.d, chunk_seed, min(_BATCH, sample_count - done))
-        inside = wedge_contains(model, points)
+        inside = points[wedge_contains(model, points)]
         for k, z in enumerate(directions):
-            hits[k] += int(np.count_nonzero(inside & (points @ z >= 0.0)))
+            hits[k] += int(np.count_nonzero(inside @ z >= 0.0))
     reports = []
     for count in hits:
         p = count / sample_count

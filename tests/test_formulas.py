@@ -300,6 +300,7 @@ class TestParallelotopeVolume:
             ((64, 4, 4), "aa99ea7ac134a17a314323be6379ec71"),
             ((64, 2, 3), "c67aa9126106ffc3fe727ddeedac28b8"),
             ((64, 3, 5), "ba66c6d171a861a24715d66bb9c82397"),
+            ((64, 3, 4), "c0422854439e8fa28ed02758da0e67b9"),
         ],
     )
     def test_volumes_are_pinned(self, shape, digest):

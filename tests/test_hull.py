@@ -25,7 +25,7 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.geometry import BLOCK_ROWS, cofactor_normals
+from wedgehull.geometry import BLOCK_ROWS, _closed_form_det, cofactor_normals
 from wedgehull.hull import FacetSet, _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
@@ -685,6 +685,76 @@ class TestGeneralizedCross:
         assert np.all(np.abs(dots) <= 1e-13 * scale)
         assert np.all(np.linalg.norm(normals, axis=1) > 0.0)
 
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_dim3_cofactors_match_one_minor_at_a_time(self, rng, dependent):
+        stack = rng.normal(size=(1000, 3, 4))
+        if dependent:
+            # the second row is the first plus 1e-16 noise
+            stack[:, 1] = stack[:, 0] + 1e-16 * rng.normal(size=(1000, 4))
+        rows = stack.transpose(1, 2, 0)
+        r0, r1, r2 = rows
+        got = cofactor_normals(stack).view(np.uint64)
+        for i in range(4):
+            cols = [c for c in range(4) if c != i]
+            a, b, c = cols
+            written = (
+                r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
+                - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
+                + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
+            )
+            minor = _closed_form_det(rows, cols)
+            assert np.array_equal(minor.view(np.uint64), written.view(np.uint64))
+            assert np.array_equal(got[:, i], (minor * (-1.0) ** i).view(np.uint64))
+
+
+def combination_blocks(n, d):
+    """The d-subsets of range(n) from itertools.combinations, cut by islice(BLOCK_ROWS)."""
+    combos = itertools.combinations(range(n), d)
+    blocks = []
+    while block := list(itertools.islice(combos, BLOCK_ROWS)):
+        blocks.append(np.array(block, dtype=np.int64))
+    return blocks
+
+
+class TestSubsetBatches:
+    """The numpy subset builder against itertools, block for block."""
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(5, 1), (4, 4), (4096, 1), (4097, 1), (92, 2), (30, 3), (60, 4), (9, 6), (7, 7)],
+    )
+    def test_blocks_match_itertools(self, n, d):
+        got = list(hull._subset_batches(n, d))
+        expected = combination_blocks(n, d)
+        assert [b.shape for b in got] == [b.shape for b in expected]
+        for block, reference in zip(got, expected):
+            assert block.dtype == np.int64 and block.flags.c_contiguous
+            assert np.array_equal(block, reference)
+
+    @pytest.mark.parametrize(
+        "n, d, sizes",
+        [
+            (4096, 1, [BLOCK_ROWS]),
+            # a lone last row stays its own block, unlike geometry.row_blocks
+            (4097, 1, [BLOCK_ROWS, 1]),
+            (92, 2, [BLOCK_ROWS, 90]),
+            (3, 3, [1]),
+        ],
+    )
+    def test_block_sizes(self, n, d, sizes):
+        assert [len(b) for b in hull._subset_batches(n, d)] == sizes
+
+    def test_first_block_of_the_largest_scan_is_small(self):
+        # all C(120, 4) = 8.2 M subsets at once would take 262 MB
+        tracemalloc.start()
+        try:
+            first = next(hull._subset_batches(120, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        head = itertools.islice(itertools.combinations(range(120), 4), BLOCK_ROWS)
+        assert np.array_equal(first, np.array(list(head)))
+        assert peak < 64 * 2**20
 
 
 B = BLOCK_ROWS

@@ -23,10 +23,12 @@ from wedgehull import (
     mc_cap_measure,
     mc_I1,
     normal_from_angles,
+    omega,
     opening_angle,
     orthonormal_complement,
     parallelotope_volume,
     quadrature_I1_dim2,
+    sample_uniform_sphere,
     wedge_contains,
     wedge_measure,
 )
@@ -113,6 +115,27 @@ class TestCapMeasureOracle:
             mc_cap_measure(wedge2, [row], count, make_seed("cap", 8))[0] for row in directions
         )
         assert stacked == singles and len(stacked) == 3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hits_match_the_uncompacted_count(self, d, k, seed):
+        # counting over the in-wedge rows only gives the hits of a test on
+        # every sphere point masked by wedge membership, over a full and a
+        # partial chunk
+        model = WedgeModel.right_angle(d)
+        count = _BATCH + 999
+        spec = make_seed("cap", "compact", d, k, seed)
+        directions = sample_uniform_sphere(d, make_seed("cap", "dirs", d, k, seed), k)
+        hits = [0] * k
+        for chunk, done in enumerate(range(0, count, _BATCH)):
+            chunk_seed = spec.substream("cap_measure", chunk)
+            points = sample_uniform_sphere(d, chunk_seed, min(_BATCH, count - done))
+            inside = wedge_contains(model, points)
+            for row, z in enumerate(directions):
+                hits[row] += int(np.count_nonzero(inside & (points @ z >= 0.0)))
+        reports = mc_cap_measure(model, directions, count, spec)
+        assert [r.value for r in reports] == [omega(d + 1) * (h / count) for h in hits]
 
     @pytest.mark.parametrize(
         "directions",
