@@ -90,23 +90,22 @@ def parallelotope_volume(vectors: np.ndarray) -> np.ndarray:
     value is below 1e-14 of the largest are snapped to exactly zero.  Stacks
     with m < k - 1 always take this SVD route.
 
-    Square stacks (m = k) use |det| instead: |ad - bc| for k = 2, the
-    cofactor expansion along the first row for k = 3, LU beyond.  Stacks one
-    row short (m = k - 1) use the norm of their geometry.cofactor_normals
-    vector, which is the volume by Cauchy-Binet; at k = 3 it is |np.cross|
-    bit for bit.
+    Square stacks (m = k) use |det| from geometry.determinant instead, and
+    stacks one row short (m = k - 1) the norm of their cofactor_normals
+    vector, the volume by Cauchy-Binet (|np.cross| bit for bit at k = 3).
 
     A stack the SVD rule would snap has volume <= s_min s_max^(m-1)
     <= 1e-14 ||A||_F^m, so every stack whose volume comes out at most
     1e-13 ||A||_F^m goes through the SVD rule, and snapped stacks still come
-    out exactly zero.  The factor 10 covers the rounding: each closed-form
-    m x m determinant sums m! products of m entries with at most m + 2
-    roundings each, so it is off by at most about (m + 2) u perm(|A|)
-    <= 5 u ||A||_F^m < 6e-16 ||A||_F^m (u = 2^-53; perm(|A|) <= the product
-    of the row 1-norms <= ||A||_F^m).  At m = k - 1 each of the k cofactors
-    is such a determinant of a minor, whose norm is at most ||A||_F, so
-    their norm is off by at most sqrt(k) 5 u ||A||_F^m, still under the cut.
-    For m >= 4 the factor covers LU's rounding.
+    out exactly zero.  The factor 10 covers the rounding.  Up to six rows
+    the determinants come from a table of minors, where each level s adds
+    at most s roundings (one product, s - 1 sums) to every term.  So an
+    m x m determinant is off by at most about (m(m+1)/2 - 1) u perm(|A|)
+    <= 20 u ||A||_F^m < 2.3e-15 ||A||_F^m (u = 2^-53; 5u at m = 3;
+    perm(|A|) <= the product of the row 1-norms <= ||A||_F^m).  At m = k - 1
+    each of the k cofactors is such a determinant of a minor, whose norm is
+    at most ||A||_F, so their norm is off by at most sqrt(k) times that,
+    still under the cut.  Beyond six rows the factor covers LU's rounding.
 
     A NaN or infinite entry raises DomainError.  Such a stack always fails
     the volume test, so only the stacks sent to the SVD are checked; finite

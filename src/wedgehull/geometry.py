@@ -39,6 +39,10 @@ MAX_POINTS = 10 ** 8
 # temporaries that a fresh pool worker must page in on first touch.
 BLOCK_ROWS = 1 << 12
 
+# Most rows for which determinant and cofactor_normals read the Laplace minors
+# table, whose work grows like k 2^(k-1): from 7 rows on LU is faster.
+_LAPLACE_ROWS = 6
+
 
 def row_blocks(n: int) -> list:
     """Slices of BLOCK_ROWS rows, in order, that cover n rows.
@@ -70,35 +74,33 @@ def row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _expand_first_row(r0, cols, minors) -> np.ndarray:
-    """3 x 3 determinants on cols (a, b, c), expanded along the first row r0.
+def _laplace_minors(rows, width: int) -> dict:
+    """Minors of k rows on every ascending k-column tuple; rows[r][c] is entry (r, c) of a batch.
 
-    minors holds the 2 x 2 minors of the other two rows, keyed by ascending
-    column pairs.
+    Built from the bottom row up: the last row's entries are the 1 x 1
+    minors, and each minor of rows r.. is the Laplace expansion along row r
+    over the level below, its terms added left to right with alternating
+    signs (so 2 x 2 minors are ad - bc).  Returns the top level.
     """
-    a, b, c = cols
-    return r0[a] * minors[b, c] - r0[b] * minors[a, c] + r0[c] * minors[a, b]
-
-
-def _closed_form_det(rows, cols) -> np.ndarray:
-    """Determinant of the 2 x 2 or 3 x 3 matrices whose entry (r, c) is rows[r][cols[c]].
-
-    Each rows[r][c] is one entry across a batch, so one call covers a whole
-    stack; the 3 x 3 form expands along the first row.
-    """
-    if len(cols) == 2:
-        a, b = cols
-        return rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
-    minors = {pair: _closed_form_det(rows[1:], pair) for pair in combinations(cols, 2)}
-    return _expand_first_row(rows[0], cols, minors)
+    minors = {(c,): rows[-1][c] for c in range(width)}
+    for r in range(len(rows) - 2, -1, -1):
+        below, minors = minors, {}
+        for cols in combinations(range(width), len(rows) - r):
+            total = rows[r][cols[0]] * below[cols[1:]]
+            for j in range(1, len(cols)):
+                term = rows[r][cols[j]] * below[cols[:j] + cols[j + 1:]]
+                (np.subtract if j % 2 else np.add)(total, term, out=total)
+            minors[cols] = total
+    return minors
 
 
 def determinant(stacks: np.ndarray) -> np.ndarray:
-    """Signed determinants of a (count, k, k) stack: closed forms for k = 2, 3, LU beyond."""
+    """Signed determinants of a (count, k, k) stack: the minors table, LU above _LAPLACE_ROWS."""
     k = stacks.shape[-1]
-    if k in (2, 3):
-        return _closed_form_det(stacks.transpose(1, 2, 0), range(k))
-    return np.linalg.det(stacks)
+    if k > _LAPLACE_ROWS:
+        return np.linalg.det(stacks)
+    det = _laplace_minors(stacks.transpose(1, 2, 0), k)[tuple(range(k))]
+    return det.copy() if k == 1 else det  # a 1 x 1 minor is a view of stacks
 
 
 def cofactor_normals(stacks: np.ndarray) -> np.ndarray:
@@ -106,32 +108,24 @@ def cofactor_normals(stacks: np.ndarray) -> np.ndarray:
 
     Entry i of a row is the cofactor (-1)^i det(stack without column i): a
     direction orthogonal to all d rows of its stack, whose norm is the
-    d-volume they span (Cauchy-Binet).  At d = 2 it is np.cross bit for bit.
-    Each minor reads a fixed list of columns: the closed forms of
-    determinant at d = 2, 3 read them in place, and d = 1 or d >= 4 copies
-    them for LU.  At d = 3 the six 2 x 2 minors of rows 1-2 are computed
-    once, each for the two cofactors that share it; every cofactor is then
-    the expression determinant evaluates, with the same bits.
+    d-volume they span (Cauchy-Binet).  The d + 1 minors are the top of one
+    _laplace_minors table, which computes each lower minor once for all the
+    cofactors that share it: (x_1, -x_0) at d = 1, np.cross bit for bit at
+    d = 2.  Above _LAPLACE_ROWS each minor is an LU determinant.
 
     The result is the transpose of a C-ordered (d+1, count) array, so each
     cofactor is one contiguous array: row_norms sums contiguous columns, and
     the transpose feeds a matrix product without a copy.
     """
     count, d, amb = stacks.shape
-    rows = stacks.transpose(1, 2, 0)
-    if d == 3:
-        # each 2 x 2 minor of rows 1-2 serves two of the four 3 x 3 cofactors
-        minors = {pair: _closed_form_det(rows[1:], pair) for pair in combinations(range(amb), 2)}
+    if d > _LAPLACE_ROWS:
+        minors = {c: np.linalg.det(np.take(stacks, c, axis=2)) for c in combinations(range(amb), d)}
+    else:
+        minors = _laplace_minors(stacks.transpose(1, 2, 0), amb)
     normals = np.empty((amb, count))
     for i in range(amb):
-        cols = [c for c in range(amb) if c != i]
-        if d == 2:
-            minor = _closed_form_det(rows, cols)
-        elif d == 3:
-            minor = _expand_first_row(rows[0], cols, minors)
-        else:
-            minor = np.linalg.det(np.take(stacks, cols, axis=2))
-        np.multiply(minor, (-1.0) ** i, out=normals[i])
+        cols = tuple(c for c in range(amb) if c != i)
+        np.multiply(minors[cols], (-1.0) ** i, out=normals[i])
     return normals.T
 
 

@@ -6,8 +6,9 @@ on one side.  facets_ambient applies this definition to every d-subset in
 the ambient space; facets_projected maps the cloud through the gnomonic
 projection at the wedge center, where spherical facets correspond one to
 one with Euclidean hull facets, and reads them off a planar chain (d=2)
-or Qhull (d >= 3).  The two routes share no facet code and serve as
-mutual oracles.
+or Qhull (d >= 3).  The routes are mutual oracles and share no facet
+code, except that facets_projected returns the ambient scan's answer when
+Qhull rejects a d >= 3 cloud of at most _QHULL_FALLBACK_CAP points.
 
 Facet identity is the sorted tuple of input indices; orientation is
 discarded.  Configurations with ambiguous signs (probability zero for the

@@ -25,7 +25,7 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.geometry import BLOCK_ROWS, _closed_form_det, cofactor_normals
+from wedgehull.geometry import BLOCK_ROWS, cofactor_normals
 from wedgehull.hull import FacetSet, _hull2d, _orient, _prune_interior
 
 from .conftest import make_seed
@@ -140,10 +140,11 @@ class TestDualRouteEquivalence:
             assert a.facets == p.facets
 
     def test_dim4(self):
-        # The ambient scan takes ~4 s at n = 60 on d = 4 and ~70 s at its
-        # cap n = 120, so the sizes stop at 60.
+        # On a 2-vCPU host the ambient scan at d = 4 takes about 0.2 s at
+        # n = 60, 1 s at n = 90 and 5 s at its cap n = 120, so the sizes
+        # stop at 90.
         model = WedgeModel.right_angle(4)
-        for rep, n in enumerate((5, 6, 7, 9, 12, 16, 20, 25, 30, 40, 60)):
+        for rep, n in enumerate((5, 6, 7, 9, 12, 16, 20, 25, 30, 40, 60, 90)):
             cloud = cloud_of(model, ("dual4", rep), n)
             a = facets_ambient(cloud)
             p = facets_projected(cloud)
@@ -676,7 +677,13 @@ class TestGeneralizedCross:
         expected = np.cross(stack[:, 0], stack[:, 1])
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("d", [3, 4])
+    def test_dim1_normals_are_the_rotated_row(self, rng):
+        stack = rng.normal(size=(1000, 1, 2))
+        got = cofactor_normals(stack)
+        expected = np.stack([stack[:, 0, 1], -stack[:, 0, 0]], axis=1)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     def test_normals_are_orthogonal_to_every_row(self, rng, d):
         stack = rng.normal(size=(1000, d, d + 1))
         normals = cofactor_normals(stack)
@@ -702,9 +709,7 @@ class TestGeneralizedCross:
                 - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
                 + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
             )
-            minor = _closed_form_det(rows, cols)
-            assert np.array_equal(minor.view(np.uint64), written.view(np.uint64))
-            assert np.array_equal(got[:, i], (minor * (-1.0) ** i).view(np.uint64))
+            assert np.array_equal(got[:, i], (written * (-1.0) ** i).view(np.uint64))
 
 
 def combination_blocks(n, d):
