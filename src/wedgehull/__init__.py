@@ -9,7 +9,6 @@ from .errors import (
     InternalError,
     QuadratureError,
     ResourceLimit,
-    SamplerStalled,
     WedgehullError,
 )
 from .formulas import (

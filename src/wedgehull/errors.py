@@ -17,10 +17,6 @@ class DegenerateInput(WedgehullError):
     """Point configuration too degenerate for a reliable facet count."""
 
 
-class SamplerStalled(WedgehullError):
-    """Rejection sampler acceptance rate fell below its floor."""
-
-
 class ResourceLimit(WedgehullError):
     """Requested computation exceeds a hard size limit."""
 

@@ -164,8 +164,9 @@ class ExperimentConfig:
                 raise DomainError("polygon needs at least 3 sides")
             if normals is not None:
                 raise DomainError("polygon baseline takes no normals")
-        if spec.j == "normals" and not 1 <= j <= self.d:
-            raise DomainError("probe needs 1 <= j <= d")
+        if spec.j == "normals" and not 3 <= j <= self.d:
+            # j = 1 and j = 2 are the halfsphere and binomial, which take normals too
+            raise DomainError(f"{self.model} needs 3 <= j <= d, got j = {j}")
         if normals is not None:
             shape = f"a (j, d+1) = ({j}, {self.d + 1}) array of numbers"
             if normals.shape != (j, self.d + 1):
@@ -540,7 +541,7 @@ def summarize(
             a_d, a_d_se = report.value, report.std_error
         c_d2 = model_constants(cfg.d, a_d).c_d2
         summary["constants"] = {"A_d": a_d, "A_d_se": a_d_se, "c_d2_theory": c_d2}
-    if spec.j == "normals" and cfg.j >= 2:
+    if spec.j == "normals":
         alt = fit_slope(records, window, log_power=float(cfg.j - 1))
         summary["fit_log_power"] = {
             "power": cfg.j - 1,

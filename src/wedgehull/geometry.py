@@ -3,8 +3,9 @@
 Points live on the unit sphere S^d embedded in R^(d+1) and are stored as
 plain numpy arrays of length d+1 (batches as arrays of shape (n, d+1)).
 The wedge is the intersection of S^d with j halfspaces whose bounding
-hyperplanes pass through the origin; the right-angle case j=2 uses the
-normals e_d and e_(d+1), so the wedge is a quarter sphere.
+hyperplanes pass through the origin and have mutually orthogonal normals;
+the right-angle case j=2 uses the normals e_d and e_(d+1), so the wedge is
+a quarter sphere.
 
 A unit normal direction z with z_(d+1) <= 0 is parametrized by angles
 (phi, psi) and a unit vector u in the span of e_1..e_(d-1):
@@ -184,10 +185,13 @@ class WedgeCoords:
 class WedgeModel:
     """Wedge configuration: dimension d, hyperplane count j, normals, center.
 
-    The center is a unit vector with strictly positive inner product with
-    every normal; it doubles as the gnomonic projection pole, so all wedge
-    points lie in its open half-sphere almost surely.  basis is the
-    orthonormal complement of the center, the projection's tangent frame.
+    The j unit normals must be mutually orthogonal: the wedge is then a
+    fundamental domain of the 2^j reflections across its hyperplanes, which
+    is what wedge_measure and the sampler's fold rely on.  The center is a
+    unit vector with strictly positive inner product with every normal; it
+    doubles as the gnomonic projection pole, so all wedge points lie in its
+    open half-sphere almost surely.  basis is the orthonormal complement of
+    the center, the projection's tangent frame.
     """
 
     d: int
@@ -206,11 +210,8 @@ class WedgeModel:
         _check_unit(self.normals, "normal")
         _check_unit(self.center, "center")
         gram = self.normals @ self.normals.T
-        off = gram - np.diag(np.diag(gram))
-        if np.any(np.abs(off) > 1.0 - ORTHO_TOL):
-            raise DomainError("normals must be pairwise linearly independent")
-        if self.j == 2 and abs(gram[0, 1]) > ORTHO_TOL:
-            raise DomainError("j=2 requires orthogonal normals (right angle)")
+        if np.any(np.abs(gram - np.diag(np.diag(gram))) > ORTHO_TOL):
+            raise DomainError("normals must be mutually orthogonal")
         if np.any(self.normals @ self.center <= UNIT_NORM_TOL):
             raise DomainError("center must have positive inner product with every normal")
         self.basis = orthonormal_complement(self.center)
@@ -238,11 +239,6 @@ class WedgeModel:
             center = normals.sum(axis=0)
             center = center / np.linalg.norm(center)
         return cls(d=d, j=normals.shape[0], normals=normals, center=np.asarray(center, float))
-
-    @property
-    def is_orthogonal(self) -> bool:
-        gram = self.normals @ self.normals.T
-        return bool(np.all(np.abs(gram - np.eye(self.j)) <= ORTHO_TOL))
 
 
 def wedge_contains(model: WedgeModel, points: np.ndarray) -> np.ndarray | bool:

@@ -31,9 +31,12 @@ from .geometry import (
     row_norms,
     wedge_contains,
 )
-from .sampling import _BATCH, SeedSpec, sample_uniform_sphere
+from .sampling import SeedSpec, sample_uniform_sphere
 
 _MIN_SAMPLES = 10**4
+# Points per substream of mc_cap_measure: it fixes which draws each sample
+# takes, so changing it changes the estimates' bits.
+_BATCH = 1 << 17
 _QUAD_RTOL = 1e-8
 # The panel width in log n of the limit lemma's coarser rule; on the
 # suite's budgets that rule differs from the finer one by 4e-12 to 3e-9

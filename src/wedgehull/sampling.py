@@ -3,7 +3,9 @@
 Every consumer addresses randomness through a SeedSpec: a (master_seed,
 stream_id) pair keying a counter-based Philox generator.  Distinct stream
 ids give independent streams, so replications can run on any number of
-workers in any order and still produce bit-identical output.
+workers in any order and still produce bit-identical output.  Wedge points
+are uniform sphere points folded into the wedge by the reflections across
+its hyperplanes, so no sampler has a rejection loop.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalError, ResourceLimit, SamplerStalled
+from .errors import DomainError, InternalError, ResourceLimit
 from .geometry import (
     MAX_POINTS,
     UNIT_NORM_TOL,
@@ -25,11 +27,6 @@ from .geometry import (
 )
 
 _U64 = 1 << 64
-# Proposals per rejection round, and points per substream of the cap-measure
-# oracle: it fixes which draws each sample takes, so changing it changes bits.
-_BATCH = 1 << 17
-_STALL_PROPOSALS = 10 ** 7
-_STALL_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,10 @@ def sample_uniform_sphere(d: int, seed: SeedSpec, count: int) -> np.ndarray:
 
 
 def _fold_to_wedge(model: WedgeModel, points: np.ndarray) -> np.ndarray:
-    # Reflect across each bounding hyperplane in turn; exact 2^j-to-1 and
-    # measure preserving because the normals are mutually orthogonal.  For a
+    # Reflect across each bounding hyperplane in turn.  The normals are
+    # mutually orthogonal, so the reflections commute and generate a group of
+    # order 2^j whose fundamental domain is the wedge: the fold is exactly
+    # 2^j-to-1 and measure preserving, for any j.  For a
     # coordinate-axis normal the reflection is abs() of that column, which
     # gives the same bits as the reflect-and-subtract below, which runs block
     # by block (each row is reflected on its own, so the bits do not change).
@@ -146,43 +145,18 @@ def _fold_to_wedge(model: WedgeModel, points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _reject_to_wedge(model: WedgeModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    got = 0
-    proposed = 0
-    while got < count:
-        batch = _unit_sphere(rng, model.d, _BATCH)
-        hits = batch[wedge_contains(model, batch)]
-        proposed += _BATCH
-        got += len(hits)
-        kept.append(hits)
-        if proposed >= _STALL_PROPOSALS and got < _STALL_ACCEPTANCE * proposed:
-            raise SamplerStalled(
-                f"acceptance {got}/{proposed} below {_STALL_ACCEPTANCE} for normals "
-                f"{model.normals.tolist()}"
-            )
-    return np.concatenate(kept)[:count]
-
-
-def _wedge_points(model: WedgeModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    if model.j <= 2 and model.is_orthogonal:
-        return _fold_to_wedge(model, _unit_sphere(rng, model.d, count))
-    return _reject_to_wedge(model, rng, count)
-
-
 def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> SampleCloud:
     """count i.i.d. uniform points on the wedge.
 
-    For j <= 2 with orthogonal normals the points come from the exact
-    coordinate fold of uniform sphere samples; general normals fall back
-    to rejection from the sphere.  A count above MAX_POINTS raises
-    ResourceLimit before anything is drawn.
+    The points are count uniform sphere samples folded into the wedge by
+    the reflections across its hyperplanes, which is exact for every j.
+    A count above MAX_POINTS raises ResourceLimit before anything is drawn.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > MAX_POINTS:
         raise ResourceLimit(f"cloud size {count:.3e} exceeds {MAX_POINTS:.0e}")
-    points = _wedge_points(model, seed.generator(), count)
+    points = _fold_to_wedge(model, _unit_sphere(seed.generator(), model.d, count))
     return SampleCloud(model=model, points=points)
 
 
@@ -190,18 +164,15 @@ def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> Sam
     """One draw of the Poisson model with intensity gamma on the wedge.
 
     The count is Poisson(gamma * wedge_measure(d, j)), followed by that many
-    uniform wedge points.  That measure is exact for mutually orthogonal
-    normals only, so any other wedge raises DomainError.
+    uniform wedge points, folded as in sample_uniform_wedge.
     """
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
-    if not model.is_orthogonal:
-        raise DomainError("the Poisson model needs mutually orthogonal normals")
     mean = gamma * wedge_measure(model.d, model.j)
     if mean > MAX_POINTS:
         raise ResourceLimit(f"expected cloud size {mean:.3e} exceeds {MAX_POINTS:.0e}")
     rng = seed.generator()
-    points = _wedge_points(model, rng, int(rng.poisson(mean)))
+    points = _fold_to_wedge(model, _unit_sphere(rng, model.d, int(rng.poisson(mean))))
     return SampleCloud(model=model, points=points)
 
 

@@ -127,7 +127,7 @@ def test_oracles_draw_through_the_wrapped_sphere_sampler(monkeypatch):
 
     import wedgehull.oracles as oracles
     from wedgehull import SeedSpec, WedgeModel
-    from wedgehull.sampling import _BATCH
+    from wedgehull.oracles import _BATCH
 
     rows = []
 

@@ -282,6 +282,11 @@ class TestSimulateCommand:
             ({"j": 7}, "binomial has j = 2, not 7"),
             ({"model": "polygon_baseline", "j": 7}, "polygon_baseline has j = 3, not 7"),
             ({"model": "conjecture_probe", "j": 2}, "conjecture_probe needs normals"),
+            # one or two normals make the halfsphere or the binomial, which take normals
+            (
+                {"model": "conjecture_probe", "normals": [[0, 1, 0], [0, 0, 1]]},
+                "conjecture_probe needs 3 <= j <= d, got j = 2",
+            ),
         ],
     )
     def test_config_j_that_disagrees_exits_two(self, capsys, tmp_path, extra, message):
@@ -365,6 +370,15 @@ class TestSimulateCommand:
             ("normals", {"normals": [[1, 0]]}),
             ("grid", {"model": "poisson", "grid": [10.0, 20.0, math.nan]}),
             ("output_path", {"output_path": 5}),
+            # a tilted third normal: wedge_measure and the fold need right angles
+            (
+                "normals",
+                {
+                    "model": "conjecture_probe",
+                    "d": 3,
+                    "normals": [[0, 0, 1, 0], [0, 0, 0, 1], [math.sin(0.8), 0, math.cos(0.8), 0]],
+                },
+            ),
         ],
     )
     def test_config_invalid_value_exits_two(self, capsys, tmp_path, field, extra):

@@ -35,6 +35,8 @@ from wedgehull.experiments import (
 
 SEED = 20260815
 _S = 1.0 / math.sqrt(2.0)
+# The probe's wedge at d = 3: three axis normals, j = 3
+_AXIS3 = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def strip_wall(records):
@@ -90,7 +92,7 @@ class TestConfig:
             dict(model="binomial"),
             dict(model="halfsphere"),
             dict(model="polygon_baseline", ell=4),
-            dict(model="conjecture_probe", normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))),
+            dict(model="conjecture_probe", d=3, normals=_AXIS3),
         ],
     )
     def test_fixed_size_grids_must_be_whole(self, extra):
@@ -105,7 +107,8 @@ class TestConfig:
             dict(model="polygon_baseline", grid=(10**3, 10**6, 10**12)),
             dict(
                 model="conjecture_probe",
-                normals=((0.0, 0.0, 1.0),),
+                d=3,
+                normals=_AXIS3,
                 grid=(8, 16, geometry.MAX_POINTS + 1),
             ),
         ],
@@ -154,8 +157,9 @@ class TestConfig:
             (dict(model="halfsphere"), 1),
             (dict(model="polygon_baseline"), 3),  # a triangle unless ell says otherwise
             (dict(model="polygon_baseline", ell=5), 5),
-            (dict(model="conjecture_probe", normals=((0.0, 0.0, 1.0),)), 1),
-            (dict(model="conjecture_probe", normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))), 2),
+            (dict(model="halfsphere", normals=((0.0, _S, _S),)), 1),
+            (dict(model="binomial", normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))), 2),
+            (dict(model="conjecture_probe", d=3, normals=_AXIS3), 3),
         ],
     )
     def test_j_follows_from_the_model(self, extra, j):
@@ -174,7 +178,7 @@ class TestConfig:
             dict(model="halfsphere", j=2),
             dict(model="polygon_baseline", j=7),  # ell defaults to 3
             dict(model="polygon_baseline", ell=4, j=5),
-            dict(model="conjecture_probe", j=1, normals=((_S, _S, 0.0), (0.0, 0.0, 1.0))),
+            dict(model="conjecture_probe", d=3, j=2, normals=_AXIS3),
         ],
     )
     def test_conflicting_j_is_refused(self, extra):
@@ -206,7 +210,7 @@ class TestConfig:
 
     def test_probe_j_range(self):
         normals = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        with pytest.raises(DomainError, match="1 <= j <= d"):
+        with pytest.raises(DomainError, match="3 <= j <= d"):
             binomial_cfg(model="conjecture_probe", normals=normals)
 
     @pytest.mark.parametrize(
@@ -301,10 +305,10 @@ class TestRunners:
         with pytest.raises(DomainError):
             ExperimentConfig(model="polygon_baseline", d=2, grid=(2, 8), reps=1, master_seed=SEED)
         # every fixed-size model: a cloud of fewer than d+1 points spans no facet
-        normals = ((_S, _S, 0.0), (0.0, 0.0, 1.0))
-        for extra in (dict(model="halfsphere"), dict(model="conjecture_probe", normals=normals)):
+        probe = dict(model="conjecture_probe", d=3, normals=_AXIS3)
+        for extra in (dict(model="halfsphere", d=2), probe):
             with pytest.raises(DomainError, match="at least d\\+1"):
-                ExperimentConfig(d=2, grid=(2, 8), reps=1, master_seed=SEED, **extra)
+                ExperimentConfig(grid=(2, 8), reps=1, master_seed=SEED, **extra)
 
     def test_tiny_poisson_clouds_record_zero_facets(self):
         cfg = ExperimentConfig(
@@ -408,29 +412,19 @@ class TestRunners:
 
 
 class TestProbeDelegation:
-    """A probe samples the uniform wedge of its normals; its records carry its name."""
+    """A probe samples the uniform wedge of its j >= 3 normals; its records carry its name."""
 
-    @staticmethod
-    def _probe_and_direct(model, normals):
-        grid, reps = (8, 16), 3
-        probe, direct = (
-            ExperimentConfig(
-                model=name, d=2, grid=grid, reps=reps, master_seed=SEED, normals=normals
-            )
-            for name in ("conjecture_probe", model)
-        )
-        assert probe.j == direct.j == len(normals)
-        return run_experiment(probe), run_experiment(direct)
-
-    def test_j2_matches_binomial(self):
-        probe, direct = self._probe_and_direct("binomial", ((_S, _S, 0.0), (0.0, 0.0, 1.0)))
-        assert {r.model for r in probe} == {"conjecture_probe"}
-        assert [row[1:] for row in strip_wall(probe)] == [row[1:] for row in strip_wall(direct)]
-
-    def test_j1_matches_halfsphere(self):
-        probe, direct = self._probe_and_direct("halfsphere", ((0.0, _S, _S),))
-        assert {r.model for r in probe} == {"conjecture_probe"}
-        assert [row[1:] for row in strip_wall(probe)] == [row[1:] for row in strip_wall(direct)]
+    @pytest.mark.parametrize(
+        "model, normals",
+        [("halfsphere", ((0.0, _S, _S),)), ("binomial", ((_S, _S, 0.0), (0.0, 0.0, 1.0)))],
+        ids=["halfsphere", "binomial"],
+    )
+    def test_j1_and_j2_are_refused(self, model, normals):
+        # with the same normals the halfsphere and the binomial draw the same streams
+        cfg = dict(d=2, grid=(8, 16), reps=3, master_seed=SEED, normals=normals)
+        assert ExperimentConfig(model=model, **cfg).j == len(normals)
+        with pytest.raises(DomainError, match="conjecture_probe needs 3 <= j <= d"):
+            ExperimentConfig(model="conjecture_probe", **cfg)
 
     def test_j3_needs_normals(self):
         with pytest.raises(DomainError):
@@ -751,14 +745,14 @@ POOL_CONFIGS = {
     "binomial": dict(model="binomial", d=2, grid=(16, 64, 256), reps=3),
     "binomial_d3": dict(model="binomial", d=3, grid=(16, 64, 256), reps=3),
     "poisson": dict(model="poisson", d=2, grid=(10.0, 40.0, 160.0), reps=3),
-    "probe": dict(
-        model="conjecture_probe",
+    "binomial_rotated": dict(
+        model="binomial",
         d=2,
-        j=2,
         grid=(16, 64, 256),
         reps=3,
         normals=((_S, _S, 0.0), (0.0, 0.0, 1.0)),
     ),
+    "probe": dict(model="conjecture_probe", d=3, grid=(16, 64, 256), reps=3, normals=_AXIS3),
 }
 
 
@@ -790,7 +784,7 @@ class TestConstantsOnThePool:
         assert pooled == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", ["binomial", "poisson", "probe"])
+    @pytest.mark.parametrize("name", ["binomial", "poisson", "binomial_rotated"])
     def test_planar_constants_are_exact(self, monkeypatch, tmp_path, name, workers):
         calls = _log_estimates(monkeypatch, tmp_path / "calls")
         cfg = ExperimentConfig(master_seed=SEED, **POOL_CONFIGS[name])

@@ -44,7 +44,6 @@ class TestWedgeModel:
         assert wedge2.d == 2 and wedge2.j == 2
         expect = np.array([0.0, 1.0, 1.0]) / math.sqrt(2)
         assert np.allclose(wedge2.center, expect, atol=1e-15)
-        assert wedge2.is_orthogonal
         assert wedge_measure(wedge2.d, wedge2.j) == pytest.approx(math.pi, abs=1e-14)
 
     def test_half_sphere_measure(self):
@@ -67,6 +66,19 @@ class TestWedgeModel:
         )
         with pytest.raises(DomainError):
             WedgeModel.from_normals(2, tilted)
+
+    def test_non_orthogonal_triple_is_rejected(self):
+        # wedge_measure and the sampler's fold hold for orthogonal normals only
+        t = 0.8
+        normals = np.array(
+            [
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [math.sin(t), 0.0, math.cos(t), 0.0],
+            ]
+        )
+        with pytest.raises(DomainError, match="mutually orthogonal"):
+            WedgeModel.from_normals(3, normals)
 
     def test_basis_is_the_center_complement_and_survives_pickle(self):
         model = WedgeModel.from_normals(3, np.eye(4)[1:])

@@ -54,17 +54,27 @@ GOLDEN = {
         "68269ed18c29e3fee3f2309e709451ed",
         "b908ffb1b5562fedbb6a84a8663901c0",
     ),
-    "probe_rotated_j2": (
+    "binomial_rotated": (
         dict(
-            model="conjecture_probe",
+            model="binomial",
             d=2,
-            j=2,
             grid=(16, 600, 2048),
             reps=3,
             normals=((_S, _S, 0.0), (0.0, 0.0, 1.0)),
         ),
-        "1c9d0a76e75f9ad68bd332f54b724232",
-        "c5f89cd6c2647fed095b90ef298f6f1e",
+        "1a700f5d9281604e6b8b2ef591b15f17",
+        "dd71d54b76ded7963a0cb6eb40b456ee",
+    ),
+    "probe_j3_d3": (
+        dict(
+            model="conjecture_probe",
+            d=3,
+            grid=(16, 256, 1024),
+            reps=3,
+            normals=((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+        ),
+        "44f2499f26f2b49cc9e49adb5f6b8a24",
+        "9d559bedac5685765b31f4fb5f9e019d",
     ),
 }
 

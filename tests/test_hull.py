@@ -332,7 +332,7 @@ class TestPruneAtEverySize:
         assert len(_prune_interior(coords)) <= 2 * len(vertices)
 
     def test_two_extremes_start_the_quickhull_passes(self):
-        # On the rotated j = 2 probe the projected cloud is a heavy-tailed
+        # On the rotated j = 2 wedge the projected cloud is a heavy-tailed
         # strip, and two far points win all eight octagon directions.  The
         # segment between them, taken both ways, starts the quickhull passes.
         s = 1.0 / math.sqrt(2.0)

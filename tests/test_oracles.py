@@ -33,12 +33,13 @@ from wedgehull import (
     wedge_measure,
 )
 from wedgehull.oracles import (
+    _BATCH,
     binomial_limit_integrand_value,
     cross_section_measure,
     i1_upper_bound,
     subsphere_wedge_points,
 )
-from wedgehull.sampling import _BATCH, _unit_sphere
+from wedgehull.sampling import _unit_sphere
 
 from .conftest import make_seed
 

@@ -11,7 +11,6 @@ from wedgehull import (
     InternalError,
     ResourceLimit,
     SampleCloud,
-    SamplerStalled,
     SeedSpec,
     WedgeModel,
     derive_stream,
@@ -19,6 +18,7 @@ from wedgehull import (
     sample_poisson_wedge,
     sample_uniform_sphere,
     sample_uniform_wedge,
+    wedge_contains,
 )
 from wedgehull.geometry import BLOCK_ROWS, row_blocks, row_norms
 
@@ -97,6 +97,14 @@ class TestUniformSphere:
             sample_uniform_sphere(2, make_seed("bad"), -1)
 
 
+# Mutually orthogonal normals at d = 3, each a wedge of the fold
+FOLD_WEDGES = {
+    "wedge3": np.eye(4)[2:],
+    "axis_j3": np.eye(4)[1:],  # each reflection is abs() of a column
+    "tilted_j3": np.eye(4)[:3] - 0.5,  # rows of I - J/2: each is reflect-and-subtract
+}
+
+
 class TestUniformWedge:
     def test_validation_is_hard(self, wedge2):
         cloud = sample_uniform_wedge(wedge2, make_seed("w", 0), 5000)
@@ -116,22 +124,24 @@ class TestUniformWedge:
         se = math.sqrt(1.0 / 12.0 / n)
         assert abs(cloud.points[:, 2].mean() - 0.5) <= 3 * se
 
-    def test_fold_matches_rejection(self, wedge3):
+    @pytest.mark.parametrize("name", sorted(FOLD_WEDGES))
+    def test_fold_matches_rejection(self, name):
+        # the reference keeps the uniform sphere points that land in the wedge
+        model = WedgeModel.from_normals(3, FOLD_WEDGES[name])
         n = 10**5
-        fold = sample_uniform_wedge(wedge3, make_seed("fold"), n).points
-        reject = sampling._reject_to_wedge(
-            wedge3, make_seed("reject").generator(), n
-        )
-        for label, f, r in (
-            ("z_d", fold[:, 2], reject[:, 2]),
-            ("z_last", fold[:, 3], reject[:, 3]),
+        fold = sample_uniform_wedge(model, make_seed("fold", name), n).points
+        sphere = sample_uniform_sphere(3, make_seed("reject", name), n << model.j)
+        reject = sphere[wedge_contains(model, sphere)]
+        m = len(reject)
+        columns = [(f"z_{c + 1}", fold[:, c], reject[:, c]) for c in range(4)]
+        for label, f, r in columns + [
             ("product", fold[:, 2] * fold[:, 3], reject[:, 2] * reject[:, 3]),
-        ):
+        ]:
             diff = abs(f.mean() - r.mean())
-            se = math.sqrt(f.var(ddof=1) / n + r.var(ddof=1) / n)
+            se = math.sqrt(f.var(ddof=1) / n + r.var(ddof=1) / m)
             assert diff <= 4 * se, label
             stat = scipy.stats.ks_2samp(f, r).statistic
-            crit = 1.628 * math.sqrt(2.0 / n)
+            crit = 1.628 * math.sqrt((n + m) / (n * m))
             assert stat <= crit, label
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -150,20 +160,6 @@ class TestUniformWedge:
         # raised before the draw: MAX_POINTS + 1 points would take gigabytes
         with pytest.raises(ResourceLimit):
             sample_uniform_wedge(wedge2, make_seed("w", 3), sampling.MAX_POINTS + 1)
-
-    def test_rejection_stall_detection(self, monkeypatch):
-        # Three normals tilted a hair above a common plane cut a corner so
-        # small that rejection cannot plausibly fill it.
-        eps = 3e-4
-        dirs = [
-            np.array([math.cos(a), math.sin(a)]) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-        ]
-        normals = np.array([[math.cos(eps) * v[0], math.cos(eps) * v[1], math.sin(eps)] for v in dirs])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        model = WedgeModel.from_normals(2, normals, center=np.array([0.0, 0.0, 1.0]))
-        monkeypatch.setattr(sampling, "_STALL_PROPOSALS", 2 * sampling._BATCH)
-        with pytest.raises(SamplerStalled):
-            sample_uniform_wedge(model, make_seed("stall"), 4)
 
 
 class TestPoissonWedge:
@@ -200,21 +196,6 @@ class TestPoissonWedge:
     def test_negative_gamma(self, wedge2):
         with pytest.raises(DomainError):
             sample_poisson_wedge(wedge2, -1.0, make_seed("p", 4))
-
-    def test_non_orthogonal_triple_is_rejected(self):
-        # the wedge measure gamma scales is exact for orthogonal normals only
-        t = 0.8
-        normals = np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [math.sin(t), 0.0, math.cos(t), 0.0],
-            ]
-        )
-        model = WedgeModel.from_normals(3, normals)
-        assert not model.is_orthogonal
-        with pytest.raises(DomainError):
-            sample_poisson_wedge(model, 10.0, make_seed("p", 5))
 
 
 class TestBetaPrime:
