@@ -26,8 +26,15 @@ import numpy as np
 from .errors import DegenerateInput, DomainError, FitError
 from .formulas import EXACT_A_D, estimate_A_d, model_constants
 from .geometry import MAX_POINTS, WedgeModel, wedge_measure
-from .hull import _hull2d, facets_projected
-from .sampling import SeedSpec, derive_stream, sample_poisson_wedge, sample_uniform_wedge
+from .hull import _hull2d, facets_projected, planar_facets
+from .sampling import (
+    SeedSpec,
+    derive_stream,
+    poisson_wedge_blocks,
+    sample_poisson_wedge,
+    sample_uniform_wedge,
+    uniform_wedge_blocks,
+)
 
 CSV_HEADER = "model,d,j,size_param,rep,facets,vertices,stream_id,wall_ms,flag"
 MAX_RETRIES = 3
@@ -260,21 +267,34 @@ def _sample_polygon(ell: int, n: int, seed: SeedSpec) -> np.ndarray:
 
 
 def _count_facets(kind: str, model, j: int, size, seed: SeedSpec):
-    """(facets, vertices) of one cloud; DegenerateInput asks for a fresh draw."""
+    """(facets, vertices) of one cloud; DegenerateInput asks for a fresh draw.
+
+    A d = 2 cloud streams from the sampler's blocks straight into the
+    planar hull, so no array grows with the cloud; Qhull (d >= 3) needs the
+    whole cloud at once.
+    """
     if kind == "polygon":
         edges, vertices, degenerate = _hull2d(_sample_polygon(j, int(size), seed))
         if degenerate:
             raise DegenerateInput(f"degenerate planar hull at n={size}")
         return len(edges), len(vertices)
-    if kind == "poisson":
-        cloud = sample_poisson_wedge(model, float(size), seed)
+    if model.d == 2:
+        if kind == "poisson":
+            count, blocks = poisson_wedge_blocks(model, float(size), seed)
+        else:
+            count, blocks = int(size), uniform_wedge_blocks(model, seed, int(size))
+        if count < 3:
+            # too few points to span any facet; every point is extreme
+            return 0, count
+        facet_set = planar_facets(model, blocks)
     else:
-        cloud = sample_uniform_wedge(model, seed, int(size))
-    n_points = cloud.points.shape[0]
-    if n_points < model.d + 1:
-        # too few points to span any facet; every point is extreme
-        return 0, n_points
-    facet_set = facets_projected(cloud)
+        if kind == "poisson":
+            cloud = sample_poisson_wedge(model, float(size), seed)
+        else:
+            cloud = sample_uniform_wedge(model, seed, int(size))
+        if len(cloud) < model.d + 1:
+            return 0, len(cloud)
+        facet_set = facets_projected(cloud)
     if facet_set.degenerate_flag:
         raise DegenerateInput(f"flagged hull at size={size}")
     return facet_set.facet_count, facet_set.vertex_count

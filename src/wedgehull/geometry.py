@@ -45,15 +45,15 @@ BLOCK_ROWS = 1 << 12
 _LAPLACE_ROWS = 6
 
 
-def row_blocks(n: int) -> list:
-    """Slices of BLOCK_ROWS rows, in order, that cover n rows.
+def row_blocks(n: int, rows: int = BLOCK_ROWS) -> list:
+    """Slices of `rows` rows, in order, that cover n rows.
 
-    A lone last row joins the block before it (which then has BLOCK_ROWS + 1
+    A lone last row joins the block before it (which then has rows + 1
     rows): numpy evaluates a one-row matrix-vector product as a dot product,
     whose rounding differs from the matrix-vector kernel that a whole-array
     product uses for that row.
     """
-    starts = list(range(0, n, BLOCK_ROWS))
+    starts = list(range(0, n, rows))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
@@ -191,7 +191,10 @@ class WedgeModel:
     unit vector with strictly positive inner product with every normal; it
     doubles as the gnomonic projection pole, so all wedge points lie in its
     open half-sphere almost surely.  basis is the orthonormal complement of
-    the center, the projection's tangent frame.
+    the center, the projection's tangent frame.  axes[i] is k when normal i
+    is the coordinate vector e_k exactly, else None: then z . n_i is z[k]
+    with the same bits for every finite z, and per-point passes read that
+    column instead.
     """
 
     d: int
@@ -199,6 +202,7 @@ class WedgeModel:
     normals: np.ndarray
     center: np.ndarray
     basis: np.ndarray = field(init=False, repr=False)
+    axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -215,6 +219,7 @@ class WedgeModel:
         if np.any(self.normals @ self.center <= UNIT_NORM_TOL):
             raise DomainError("center must have positive inner product with every normal")
         self.basis = orthonormal_complement(self.center)
+        self.axes = tuple(_unit_axis(normal) for normal in self.normals)
 
     @classmethod
     def right_angle(cls, d: int) -> "WedgeModel":
@@ -241,15 +246,25 @@ class WedgeModel:
         return cls(d=d, j=normals.shape[0], normals=normals, center=np.asarray(center, float))
 
 
+def _unit_axis(vector: np.ndarray):
+    # k when vector is e_k exactly, else None
+    axis = int(vector.argmax())
+    if vector[axis] == 1.0 and np.count_nonzero(vector) == 1:
+        return axis
+    return None
+
+
 def wedge_contains(model: WedgeModel, points: np.ndarray) -> np.ndarray | bool:
     """Membership test z . n_i >= -1e-12 for every normal; batched."""
     points = np.asarray(points, dtype=float)
-    # One matrix-vector product per normal: OpenBLAS threads an
-    # (n, d+1) @ (d+1, j) product, which is far slower at this shape and
-    # oversubscribes the cores when pool workers run side by side.
+    # One matrix-vector product per normal, or one column for a coordinate
+    # normal: OpenBLAS threads an (n, d+1) @ (d+1, j) product, which is far
+    # slower at this shape and oversubscribes the cores when pool workers
+    # run side by side.
     inside = np.ones(points.shape[:-1], dtype=bool)
-    for normal in model.normals:
-        inside &= points @ normal >= -UNIT_NORM_TOL
+    for normal, axis in zip(model.normals, model.axes):
+        dots = points @ normal if axis is None else points[..., axis]
+        inside &= dots >= -UNIT_NORM_TOL
     if points.ndim == 1:
         return bool(inside)
     return inside
@@ -265,7 +280,15 @@ def gnomonic_project(center: np.ndarray, points: np.ndarray) -> np.ndarray:
     dots = points @ center
     if np.any(dots <= UNIT_NORM_TOL):
         raise HalfSphereViolation("point outside the open half-sphere of the chart")
-    return points / dots[..., None] - center
+    # points / dots[..., None] - center, one coordinate at a time: the same
+    # bits, without numpy's slow inner loop over rows of d+1 entries
+    # (subtracting a zero coordinate of the center changes no bit)
+    tangent = np.empty_like(points)
+    for k, c in enumerate(center.tolist()):
+        np.divide(points[..., k], dots, out=tangent[..., k])
+        if c != 0.0:
+            tangent[..., k] -= c
+    return tangent
 
 
 def gnomonic_inverse(center: np.ndarray, tangent: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ on one side.  facets_ambient applies this definition to every d-subset in
 the ambient space; facets_projected maps the cloud through the gnomonic
 projection at the wedge center, where spherical facets correspond one to
 one with Euclidean hull facets, and reads them off a planar chain (d=2)
-or Qhull (d >= 3).  The routes are mutual oracles and share no facet
+or Qhull (d >= 3).  At d = 2 planar_facets reads the points block by
+block, so a sampler's blocks can stream into it without a cloud being
+built.  The routes are mutual oracles and share no facet
 code, except that facets_projected returns the ambient scan's answer when
 Qhull rejects a d >= 3 cloud of at most _QHULL_FALLBACK_CAP points.
 
@@ -40,6 +42,9 @@ _QHULL_FALLBACK_CAP = 60
 # Shewchuk's orient2d error bound (3 + 16 eps) eps, with eps = 2^-53
 _ORIENT_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 _ORIENT_UNDERFLOW = 2.0 ** -1070
+# Most points that the octagon tests against every edge in one (edges, m)
+# array; small clouds then pay a few numpy calls instead of five per edge.
+_OUTER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -182,38 +187,100 @@ def _orient(p, q, r) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def _extreme_picks(x: np.ndarray, y: np.ndarray) -> list:
-    """First indices of the maxima of x, x + y, y, y - x, then of their minima.
+class _Octagon:
+    """The polygon of the eight directional extremes, its edges counterclockwise.
 
-    Read block by block; a later block's extreme replaces an earlier one only
-    when strictly better, so ties keep the first index, as argmax does.
+    best[k] is (score, index, x, y) of the extreme of direction k: the
+    maxima of x, x + y, y, y - x, then their minima (scored negated).  The
+    corners are taken in that counterclockwise order with cyclic repeats
+    dropped.  Point p is left of edge k by the margin when its cross product
+    ex*py - ey*px exceeds offset + slack.  With fewer than two distinct
+    corners the octagon is not proper and leaves every point near; two (a
+    heavy-tailed strip) give the segment between them, taken both ways,
+    which also leaves every point near.
     """
-    best = None
-    for rows in row_blocks(x.size):
-        bx, by = x[rows], y[rows]
-        rays = (bx, bx + by, by, by - bx)
-        highs = [int(r.argmax()) for r in rays]
-        lows = [int(r.argmin()) for r in rays]
-        found = [(float(r[i]), rows.start + i) for r, i in zip(rays, highs)]
-        found += [(-float(r[i]), rows.start + i) for r, i in zip(rays, lows)]
-        if best is None:
-            best = found
-        else:
-            best = [new if new[0] > old[0] else old for old, new in zip(best, found)]
-    return [i for _, i in best]
+
+    def __init__(self, best: list):
+        corners = [c for k, c in enumerate(best) if c[1] != best[k - 1][1]]
+        self.proper = len({c[1] for c in corners}) >= 2
+        if not self.proper:
+            return
+        ends = corners[1:] + corners[:1]
+        self.start = np.array([a[1] for a in corners])
+        self.end = np.array([b[1] for b in ends])
+        self.ex = np.array([b[2] - a[2] for a, b in zip(corners, ends)])
+        self.ey = np.array([b[3] - a[3] for a, b in zip(corners, ends)])
+        self.offset = self.ex * [a[3] for a in corners] - self.ey * [a[2] for a in corners]
+        # the largest |coordinate|, read off the extremes of x and y
+        scale = max(best[0][2], -best[4][2], best[2][3], -best[6][3])
+        self.margin = 1e-9 * (scale or 1.0)
+        self.slack = self.margin * np.hypot(self.ex, self.ey)
+        self.bound = self.offset + self.slack
+
+    def near(self, xy: np.ndarray) -> np.ndarray:
+        """Indices of the points of a (2, m) xy not left of every edge by the margin.
+
+        One edge at a time, into (m,) buffers, unless an (edges, m) array is
+        small: one of a sampler's block is above malloc's mmap threshold, and
+        mapping it afresh for every replicate costs thousands of page faults
+        a sweep.  Both ways compute the same products and differences, so a
+        point gets the same answer whatever block it comes in.
+        """
+        x, y = xy
+        if x.size <= _OUTER_ROWS:
+            cross = np.multiply.outer(self.ex, y) - np.multiply.outer(self.ey, x)
+            return (~(cross > self.bound[:, None]).all(axis=0)).nonzero()[0]
+        cross, term = np.empty((2, x.size))
+        inside, test = np.ones((2, x.size), dtype=bool)
+        for ex, ey, bound in zip(self.ex.tolist(), self.ey.tolist(), self.bound.tolist()):
+            np.multiply(y, ex, out=cross)
+            cross -= np.multiply(x, ey, out=term)
+            inside &= np.greater(cross, bound, out=test)
+        return np.logical_not(inside, out=inside).nonzero()[0]
+
+    def left(self, xy: np.ndarray) -> np.ndarray:
+        """(edges, m) array of how far left of each edge each point lies, times the edge length."""
+        x, y = xy
+        return np.multiply.outer(self.ex, y) - np.multiply.outer(self.ey, x) - self.offset[:, None]
 
 
-def _prune_interior(coords: np.ndarray) -> np.ndarray:
-    """Ascending indices of the points that may lie on the hull boundary.
+def _merge_extremes(best: list, ids: np.ndarray, xy: np.ndarray) -> bool:
+    """Merge the extremes of the points (ids, xy) into best; whether a corner changed.
 
-    Stage one is the extreme-octagon filter (Akl & Toussaint, IPL 1978).
-    The argmax points of the directions (1,0), (1,1), (0,1), (-1,1) and
-    their negatives, taken in that counterclockwise order with cyclic
-    repeats dropped, form a convex polygon in counterclockwise order; a
-    point left of every edge by the margin lies strictly inside it.  Two
-    distinct extremes (a heavy-tailed strip) give the segment between them,
-    taken both ways: stage one then drops nothing, and stage two starts
-    from those two edges.
+    xy is the points' (2, m) coordinates and ids their ascending indices.
+    A point replaces a corner when it scores higher, or the same with a
+    lower index, so the corners are the first indices of the extremes, as
+    argmax gives them, in whatever order the blocks arrive.
+    """
+    x, y = xy
+    rays = (x, x + y, y, y - x)
+    picks = [int(ray.argmax()) for ray in rays] + [int(ray.argmin()) for ray in rays]
+    scores = [float(rays[k % 4][i]) for k, i in enumerate(picks)]
+    changed = False
+    for k, i in enumerate(picks):
+        score = scores[k] if k < 4 else -scores[k]
+        old = best[k]
+        if old is None or score >= old[0]:
+            index = int(ids[i])
+            if old is None or score > old[0] or index < old[1]:
+                best[k] = (score, index, float(x[i]), float(y[i]))
+                changed = True
+    return changed
+
+
+def _prune(blocks):
+    """Candidates for the hull boundary among (start, xy) blocks: (ids, xy), ids ascending.
+
+    xy is a (2, m) array of the block's x and y coordinates.
+
+    Stage one is the extreme-octagon filter (Akl & Toussaint, IPL 1978),
+    run as the blocks stream in.  Each block's points that lie left of every
+    edge of the octagon of the extremes of the blocks before it (of its own,
+    for the first block), by the margin, are dropped at once; the others
+    may move the extremes and are kept.  A point strictly inside can never
+    be an extreme, so the last octagon is the one of the whole cloud.
+    After the last block the kept points that passed an earlier octagon
+    are tested against it.
 
     Stage two runs quickhull passes (Eddy, ACM TOMS 1977; Barber, Dobkin &
     Huhdanpaa, ACM TOMS 1996) on the survivors, all edges in one array pass
@@ -222,54 +289,65 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
     then tested, and the points clearly outside (a, f) or (f, b) go on to
     the next round.
 
-    A point is dropped only when it lies left of every edge of the octagon
-    polygon, or of a triangle (a, f, b), by the margin.  Those vertices are
-    input points, so a dropped point is strictly inside the hull: hull
-    vertices and points on hull edges always survive, and points within the
-    margin of any edge stay candidates for the exact chain to decide.
+    A point is dropped only when it lies left of every edge of an octagon,
+    or of a triangle (a, f, b), by the margin.  Those corners are input
+    points, so a dropped point is strictly inside the hull, whichever
+    octagon dropped it: hull vertices and points on hull edges always
+    survive, and points within the margin of any edge stay candidates for
+    the exact chain to decide.
     """
-    n = coords.shape[0]
-    # no copy when coords is the transpose of contiguous x/y rows
-    x, y = np.ascontiguousarray(coords.T, dtype=float)
-    picks = _extreme_picks(x, y)
-    extremes = [i for k, i in enumerate(picks) if i != picks[k - 1]]
-    if len(set(extremes)) < 2:
-        return np.arange(n)
-    # the largest |coordinate|, read off the extremes of x and y
-    scale = max(x[picks[0]], -x[picks[4]], y[picks[2]], -y[picks[6]])
-    margin = 1e-9 * (float(scale) or 1.0)
-    # Stage one, every edge at once, block by block into reused scratch:
-    # left = ex*y - ey*x - (ex*ay - ey*ax); only the survivors' columns stay.
-    start = np.array(extremes)
-    end = np.array(extremes[1:] + extremes[:1])
-    ex, ey = x[end] - x[start], y[end] - y[start]
-    offset = ex * y[start] - ey * x[start]
-    slack = margin * np.hypot(ex, ey)
-    bound = (offset + slack)[:, None]
-    blocks = row_blocks(n)
-    scratch = np.empty((2, ex.size, max(rows.stop - rows.start for rows in blocks)))
-    kept_ids, kept_left = [], []
-    for rows in blocks:
-        bx, by = x[rows], y[rows]
-        block, cross = scratch[:, :, : bx.size]
-        np.multiply.outer(ex, by, out=block)
-        block -= np.multiply.outer(ey, bx, out=cross)
-        near = (~(block > bound).all(axis=0)).nonzero()[0]
-        kept_ids.append(near + rows.start)
-        kept_left.append(block[:, near])
-    survivors = np.concatenate(kept_ids)
-    left = np.concatenate(kept_left, axis=1) - offset[:, None]
-    outside = left < -slack[:, None]
+    best = [None] * 8
+    octagon = None
+    kept = []  # (ids, xy, the octagon they passed)
+    for start, block in blocks:
+        if octagon is None or not octagon.proper:
+            # no octagon yet: the block's own extremes make one, which
+            # prunes the block itself
+            ids = np.arange(start, start + block.shape[1])
+            if ids.size and _merge_extremes(best, ids, block):
+                octagon = _Octagon(best)
+            if octagon is None or not octagon.proper:
+                kept.append((ids, block.copy(), None))
+            else:
+                near = octagon.near(block)
+                kept.append((ids[near], block[:, near], octagon))
+            continue
+        tested = octagon
+        near = octagon.near(block)
+        ids, xy = near + start, block[:, near]
+        if ids.size and _merge_extremes(best, ids, xy):
+            octagon = _Octagon(best)
+        kept.append((ids, xy, tested))
+    if not kept:
+        return np.empty(0, dtype=np.intp), np.empty((2, 0))
+    if octagon.proper:
+        # points that passed an earlier octagon meet the final one
+        for k, (ids, xy, tested) in enumerate(kept):
+            if tested is not octagon:
+                near = octagon.near(xy)
+                kept[k] = (ids[near], xy[:, near], octagon)
+    survivors, xy, _ = kept[0]
+    if len(kept) > 1:
+        survivors = np.concatenate([ids for ids, _, _ in kept])
+        xy = np.concatenate([xy for _, xy, _ in kept], axis=1)
+    if np.any(survivors[1:] < survivors[:-1]):  # a block held for a redrawn row came last
+        order = survivors.argsort()
+        survivors, xy = survivors[order], xy[:, order]
+    if not octagon.proper:
+        return survivors, xy
+    left = octagon.left(xy)
+    outside = left < -octagon.slack[:, None]
     keep = ~outside.any(axis=0)
     live = (~keep).nonzero()[0]
     if not live.size:
-        return survivors
+        return survivors, xy
     # Stage two on survivor-local ids; each live point carries its edge (a, b).
     owner = outside[:, live].argmax(axis=0)
     depth = left[owner, live]
-    a = survivors.searchsorted(start)[owner]
-    b = survivors.searchsorted(end)[owner]
-    z = x[survivors] + 1j * y[survivors]
+    a = survivors.searchsorted(octagon.start)[owner]
+    b = survivors.searchsorted(octagon.end)[owner]
+    z = xy[0] + 1j * xy[1]
+    margin = octagon.margin
     while True:
         # group by edge, farthest (most negative depth) first
         order = np.lexsort((depth, b, a))
@@ -282,7 +360,7 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
         f = far[head.cumsum() - 1]
         rest = ~head
         if not rest.any():
-            return survivors[keep]
+            break
         live, a, b, f = live[rest], a[rest], b[rest], f[rest]
         # the triangle (a, f, b) is counterclockwise; f becomes a vertex
         p, za, zf = z[live], z[a], z[f]
@@ -294,24 +372,26 @@ def _prune_interior(coords: np.ndarray) -> np.ndarray:
         onward = out1 | (s2 < -t2)
         keep[live[~onward & ~((s1 > t1) & (s2 > t2))]] = True
         if not onward.any():
-            return survivors[keep]
+            break
         live = live[onward]
         out1 = out1[onward]
         a = np.where(out1, a[onward], f[onward])
         b = np.where(out1, f[onward], b[onward])
         depth = np.where(out1, s1[onward], s2[onward])
+    return survivors[keep], xy[:, keep]
 
 
-def _hull2d(coords: np.ndarray):
-    """Monotone chain on the filter's survivors; returns (edges, ccw vertex ids, flag)."""
-    if coords.shape[0] == 2:
-        return [(0, 1)], [0, 1], False
-    candidates = _prune_interior(coords)
-    sub = coords[candidates]
-    order = np.lexsort((sub[:, 1], sub[:, 0]))
-    ids = candidates[order].tolist()
+def _chain(ids: np.ndarray, xy: np.ndarray):
+    """Monotone chain on the prune's candidates; returns (edges, ccw vertex ids, flag)."""
+    if ids.size < 2:
+        raise DomainError(f"need at least 2 points, got {ids.size}")
+    if ids.size == 2:
+        # the prune keeps every point of a segment, so this is a two-point cloud
+        return [tuple(ids.tolist())], ids.tolist(), False
+    order = np.lexsort(xy[::-1])
+    ids = ids[order].tolist()
     # Python floats: scalar arithmetic on them is far cheaper than on numpy scalars
-    xy = sub[order].tolist()
+    xy = list(zip(*xy[:, order].tolist()))
     degenerate = False
 
     def build(sequence):
@@ -342,6 +422,52 @@ def _hull2d(coords: np.ndarray):
     return edges, vertices, degenerate
 
 
+def _coord_blocks(coords: np.ndarray):
+    # (start, xy) blocks of an (n, 2) array of planar points
+    xy = np.ascontiguousarray(coords.T, dtype=float)
+    for rows in row_blocks(xy.shape[1]):
+        yield rows.start, xy[:, rows]
+
+
+def _hull2d(coords: np.ndarray):
+    """The planar hull of an (n, 2) array: (edges, ccw vertex ids, flag)."""
+    return _chain(*_prune(_coord_blocks(coords)))
+
+
+def _chart_blocks(model: WedgeModel, blocks):
+    # (start, xy) chart coordinates of (start, points) blocks, in reused
+    # rows: one matrix-vector product per basis vector on C-ordered rows, no
+    # small-matrix BLAS call, so a row's coordinates do not depend on its
+    # block and equal those of a whole-array product.
+    columns = np.empty((2, 0))
+    for start, block in blocks:
+        if len(block) > columns.shape[1]:
+            columns = np.empty((2, len(block)))
+        tangent = gnomonic_project(model.center, block)
+        xy = columns[:, : len(block)]
+        for axis, out in zip(model.basis.T, xy):
+            np.matmul(tangent, axis, out=out)
+        yield start, xy
+
+
+def planar_facets(model: WedgeModel, blocks) -> FacetSet:
+    """Facets of a d = 2 cloud that arrives as (start, points) blocks, in one pass.
+
+    Each block is projected and pruned before the next is read, so no
+    array grows with the cloud beyond the prune's survivors; the chain
+    then decides the hull among them.  blocks are as
+    sampling.uniform_wedge_blocks yields them: together they hold points
+    0, ..., n - 1 once each, and a block may be overwritten once the next
+    is asked for.
+    """
+    if model.d != 2:
+        raise DomainError(f"planar_facets needs d = 2, got d={model.d}")
+    edges, vertices, degenerate = _chain(*_prune(_chart_blocks(model, blocks)))
+    return FacetSet(
+        facets=frozenset(edges), vertex_count=len(vertices), degenerate_flag=degenerate
+    )
+
+
 def facets_projected(cloud: SampleCloud) -> FacetSet:
     """Facets via gnomonic projection and a Euclidean convex hull.
 
@@ -357,20 +483,17 @@ def facets_projected(cloud: SampleCloud) -> FacetSet:
     d = amb - 1
     if n < d:
         raise DomainError(f"need at least d={d} points, got {n}")
-    # Contiguous coordinate columns, written block by block; coords is their
-    # (n, d) transpose, so _prune_interior reads them without a copy.  One
-    # matrix-vector product per basis vector: no small-matrix BLAS call.
+    if d == 2:
+        return planar_facets(model, ((rows.start, points[rows]) for rows in row_blocks(n)))
+    # Contiguous coordinate columns, written block by block, and their (n, d)
+    # transpose.  One matrix-vector product per basis vector: no small-matrix
+    # BLAS call.
     columns = np.empty((d, n))
     for rows in row_blocks(n):
         tangent = gnomonic_project(model.center, points[rows])
         for axis, out in zip(model.basis.T, columns[:, rows]):
             np.matmul(tangent, axis, out=out)
     coords = columns.T
-    if d == 2:
-        edges, vertices, degenerate = _hull2d(coords)
-        return FacetSet(
-            facets=frozenset(edges), vertex_count=len(vertices), degenerate_flag=degenerate
-        )
     # imported here so that a d = 2 process never loads scipy
     from scipy.spatial import ConvexHull, QhullError
 

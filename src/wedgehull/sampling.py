@@ -5,7 +5,9 @@ stream_id) pair keying a counter-based Philox generator.  Distinct stream
 ids give independent streams, so replications can run on any number of
 workers in any order and still produce bit-identical output.  Wedge points
 are uniform sphere points folded into the wedge by the reflections across
-its hyperplanes, so no sampler has a rejection loop.
+its hyperplanes, so no sampler has a rejection loop.  Both wedge samplers
+assemble their clouds from the checked blocks of one generator, which a
+d = 2 sweep reads directly instead.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InternalError, ResourceLimit
 from .geometry import (
+    BLOCK_ROWS,
     MAX_POINTS,
     UNIT_NORM_TOL,
     WedgeModel,
@@ -27,6 +30,11 @@ from .geometry import (
 )
 
 _U64 = 1 << 64
+
+# Rows per block of the wedge sampler.  Twice BLOCK_ROWS halves a d = 2
+# sweep's per-block calls (a 2^17-point replicate ran about 1 ms faster)
+# while its block-sized buffers stay below 1 MiB.
+STREAM_ROWS = 2 * BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -68,51 +76,84 @@ def derive_stream(*parts) -> int:
 
 @dataclass(eq=False)
 class SampleCloud:
-    """A finite point set on a wedge, checked on construction to lie on it."""
+    """A finite point set on a wedge, checked on construction to lie on it.
+
+    points is one point of shape (d+1,) or a batch of shape (n, d+1); any
+    other shape is a DomainError, never reshaped into points.
+    """
 
     model: WedgeModel
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, self.model.d + 1)
+        amb = self.model.d + 1
+        points = np.asarray(self.points, dtype=float)
+        if points.shape == (amb,):
+            points = points.reshape(1, amb)
+        elif points.ndim != 2 or points.shape[1] != amb:
+            raise DomainError(
+                f"points must have shape ({amb},) or (n, {amb}) for d={self.model.d}, "
+                f"got {points.shape}"
+            )
+        self.points = points
         self.validate()
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def validate(self) -> None:
-        # Hard assertions, not statistical: membership and unit norm for 100%.
-        # Written as not (... <= tol) so that NaN and inf rows count as non-unit.
         for rows in row_blocks(len(self)):
-            block = self.points[rows]
-            norms = row_norms(block)
-            if not np.max(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:
-                raise InternalError("sample cloud contains non-unit points")
-            if not np.all(wedge_contains(self.model, block)):
-                raise InternalError("sample cloud contains points outside the wedge")
+            _check_block(self.model, self.points[rows])
 
 
-def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
-    # Normalises the one draw in place, block by block.  Rows whose norm
-    # underflows are redrawn afterwards, together and in index order, which
-    # is the order in which a whole-array pass would redraw them.
-    x = rng.standard_normal((count, d + 1))
-    tiny = []
-    for rows in row_blocks(count):
-        block = x[rows]
-        norms = row_norms(block)
-        small = norms < 1e-300
-        if small.any():  # never in practice; keeps the math airtight
-            tiny.extend(rows.start + np.flatnonzero(small))
-            norms[small] = 1.0
-        block /= norms[:, None]
-    bad = np.array(tiny, dtype=np.intp)
+def _check_block(model: WedgeModel, block: np.ndarray) -> None:
+    # Hard assertions, not statistical: membership and unit norm for 100%.
+    # Written as not (... <= tol) so that NaN and inf rows count as non-unit.
+    # max |norm - 1| <= tol as two reductions; norm - 1 is exact near 1
+    norms = row_norms(block)
+    if not (norms.max() - 1.0 <= UNIT_NORM_TOL and 1.0 - norms.min() <= UNIT_NORM_TOL):
+        raise InternalError("sample cloud contains non-unit points")
+    if not np.all(wedge_contains(model, block)):
+        raise InternalError("sample cloud contains points outside the wedge")
+
+
+def _normalise(block: np.ndarray) -> np.ndarray:
+    # Scales the rows of block to unit length in place and returns the
+    # (local) indices of the rows whose norm underflows, left unscaled.
+    norms = row_norms(block)
+    tiny = np.empty(0, dtype=np.intp)
+    if norms.min() < 1e-300:  # never in practice; keeps the math airtight
+        tiny = (norms < 1e-300).nonzero()[0]
+        norms[tiny] = 1.0
+    # column by column: a broadcast over rows of d+1 entries runs a far
+    # slower inner loop, and each entry gets the same division either way
+    for column in block.T:
+        column /= norms
+    return tiny
+
+
+def _redraw(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    # count unit rows for the rows whose norm underflowed, in index order:
+    # a row that underflows again is drawn again, after the others.
+    out = np.empty((count, d + 1))
+    bad = np.arange(count)
     while bad.size:
         fresh = rng.standard_normal((bad.size, d + 1))
         norms = row_norms(fresh)
         good = norms >= 1e-300
-        x[bad[good]] = fresh[good] / norms[good, None]
+        out[bad[good]] = fresh[good] / norms[good, None]
         bad = bad[~good]
+    return out
+
+
+def _unit_sphere(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    # One draw, normalised in place block by block; rows whose norm
+    # underflows are redrawn afterwards, together and in index order.
+    x = rng.standard_normal((count, d + 1))
+    tiny = [rows.start + _normalise(x[rows]) for rows in row_blocks(count)]
+    tiny = np.concatenate(tiny) if tiny else np.empty(0, dtype=np.intp)
+    if tiny.size:
+        x[tiny] = _redraw(rng, d, tiny.size)
     return x
 
 
@@ -129,42 +170,72 @@ def _fold_to_wedge(model: WedgeModel, points: np.ndarray) -> np.ndarray:
     # order 2^j whose fundamental domain is the wedge: the fold is exactly
     # 2^j-to-1 and measure preserving, for any j.  For a
     # coordinate-axis normal the reflection is abs() of that column, which
-    # gives the same bits as the reflect-and-subtract below, which runs block
-    # by block (each row is reflected on its own, so the bits do not change).
-    for normal in model.normals:
-        axis = np.flatnonzero(normal)
-        if axis.size == 1 and normal[axis[0]] == 1.0:
-            np.abs(points[:, axis[0]], out=points[:, axis[0]])
+    # gives the same bits as the reflect-and-subtract below.
+    for normal, axis in zip(model.normals, model.axes):
+        if axis is not None:
+            np.abs(points[:, axis], out=points[:, axis])
             continue
-        for rows in row_blocks(len(points)):
-            block = points[rows]
-            dots = block @ normal
-            neg = dots < 0.0
-            if np.any(neg):
-                block[neg] -= 2.0 * np.outer(dots[neg], normal)
+        dots = points @ normal
+        neg = dots < 0.0
+        if np.any(neg):
+            points[neg] -= 2.0 * np.outer(dots[neg], normal)
     return points
 
 
-def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> SampleCloud:
-    """count i.i.d. uniform points on the wedge.
+def _wedge_blocks(model: WedgeModel, rng: np.random.Generator, count: int):
+    # The one wedge sampler.  Each block of row_blocks(count, STREAM_ROWS)
+    # is drawn with standard_normal(out=...), which reads the stream exactly
+    # as one (count, d+1) draw does, then normalised, folded and checked as
+    # SampleCloud.validate checks a cloud.  A block with a row whose norm
+    # underflows is held back; after the last block those rows are redrawn
+    # in index order, as _unit_sphere redraws them, and the held blocks
+    # follow.  Blocks without such rows are views of one reused C-ordered
+    # buffer, so every pass rounds as it does on rows of a whole cloud.
+    buffer = np.empty((min(count, STREAM_ROWS + 1), model.d + 1))
+    held = []
+    for rows in row_blocks(count, STREAM_ROWS):
+        block = buffer[: rows.stop - rows.start]
+        rng.standard_normal(out=block)
+        tiny = _normalise(block)
+        if tiny.size:
+            held.append((rows.start, block.copy(), tiny))
+            continue
+        _check_block(model, _fold_to_wedge(model, block))
+        yield rows.start, block
+    if not held:
+        return
+    fresh = _redraw(rng, model.d, sum(tiny.size for _, _, tiny in held))
+    used = 0
+    for start, block, tiny in held:
+        block[tiny] = fresh[used : used + tiny.size]
+        used += tiny.size
+        _check_block(model, _fold_to_wedge(model, block))
+        yield start, block
 
-    The points are count uniform sphere samples folded into the wedge by
-    the reflections across its hyperplanes, which is exact for every j.
-    A count above MAX_POINTS raises ResourceLimit before anything is drawn.
+
+def uniform_wedge_blocks(model: WedgeModel, seed: SeedSpec, count: int):
+    """count i.i.d. uniform wedge points, as (start, block) pairs.
+
+    block holds the points start, start + 1, ... of the cloud that
+    sample_uniform_wedge(model, seed, count) returns, bit for bit, already
+    checked to lie on the wedge.  Blocks cover the cloud once; they arrive
+    in order, except that a block holding a redrawn row comes after all
+    others.  A block is overwritten by the next one, so read it before
+    asking for the next.  A count above MAX_POINTS raises ResourceLimit
+    before anything is drawn.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > MAX_POINTS:
         raise ResourceLimit(f"cloud size {count:.3e} exceeds {MAX_POINTS:.0e}")
-    points = _fold_to_wedge(model, _unit_sphere(seed.generator(), model.d, count))
-    return SampleCloud(model=model, points=points)
+    return _wedge_blocks(model, seed.generator(), count)
 
 
-def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> SampleCloud:
-    """One draw of the Poisson model with intensity gamma on the wedge.
+def poisson_wedge_blocks(model: WedgeModel, gamma: float, seed: SeedSpec):
+    """(count, blocks): one draw of the Poisson model, blocked as in uniform_wedge_blocks.
 
     The count is Poisson(gamma * wedge_measure(d, j)), followed by that many
-    uniform wedge points, folded as in sample_uniform_wedge.
+    uniform wedge points from the same stream.
     """
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
@@ -172,8 +243,38 @@ def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> Sam
     if mean > MAX_POINTS:
         raise ResourceLimit(f"expected cloud size {mean:.3e} exceeds {MAX_POINTS:.0e}")
     rng = seed.generator()
-    points = _fold_to_wedge(model, _unit_sphere(rng, model.d, int(rng.poisson(mean))))
-    return SampleCloud(model=model, points=points)
+    count = int(rng.poisson(mean))
+    return count, _wedge_blocks(model, rng, count)
+
+
+def _assemble(model: WedgeModel, count: int, blocks) -> SampleCloud:
+    # The blocks are checked as they are drawn, so the cloud is not checked again.
+    points = np.empty((count, model.d + 1))
+    for start, block in blocks:
+        points[start : start + len(block)] = block
+    cloud = SampleCloud.__new__(SampleCloud)
+    cloud.model, cloud.points = model, points
+    return cloud
+
+
+def sample_uniform_wedge(model: WedgeModel, seed: SeedSpec, count: int) -> SampleCloud:
+    """count i.i.d. uniform points on the wedge.
+
+    The points are count uniform sphere samples folded into the wedge by
+    the reflections across its hyperplanes, which is exact for every j,
+    assembled from uniform_wedge_blocks.  A count above MAX_POINTS raises
+    ResourceLimit before anything is drawn.
+    """
+    return _assemble(model, count, uniform_wedge_blocks(model, seed, count))
+
+
+def sample_poisson_wedge(model: WedgeModel, gamma: float, seed: SeedSpec) -> SampleCloud:
+    """One draw of the Poisson model with intensity gamma on the wedge.
+
+    The count is Poisson(gamma * wedge_measure(d, j)), followed by that many
+    uniform wedge points, assembled from poisson_wedge_blocks.
+    """
+    return _assemble(model, *poisson_wedge_blocks(model, gamma, seed))
 
 
 def _beta_prime(rng: np.random.Generator, k: int, beta: float, count: int) -> np.ndarray:

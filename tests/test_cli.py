@@ -517,10 +517,10 @@ class TestSimulateCommand:
         assert not list(tmp_path.glob("*"))
 
     def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
-        def always_degenerate(cloud):
+        def always_degenerate(model, blocks):
             raise DegenerateInput("synthetic")
 
-        monkeypatch.setattr(experiments, "facets_projected", always_degenerate)
+        monkeypatch.setattr(experiments, "planar_facets", always_degenerate)
         code, _, err = self.simulate(capsys, tmp_path)
         assert code == 1
         assert "error" in err

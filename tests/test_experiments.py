@@ -456,28 +456,28 @@ class TestProbeDelegation:
 class TestRetries:
     def test_transient_degeneracy_sets_flag(self, monkeypatch):
         calls = {"n": 0}
-        real = experiments.facets_projected
+        real = experiments.planar_facets
 
-        def flaky(cloud):
+        def flaky(model, blocks):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise DegenerateInput("synthetic")
-            return real(cloud)
+            return real(model, blocks)
 
-        monkeypatch.setattr(experiments, "facets_projected", flaky)
+        monkeypatch.setattr(experiments, "planar_facets", flaky)
         cfg = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
         record = run_experiment(cfg)[0]
         assert record.flag == 1
         clean = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
-        monkeypatch.setattr(experiments, "facets_projected", real)
+        monkeypatch.setattr(experiments, "planar_facets", real)
         baseline = run_experiment(clean)[0]
         assert record.stream_id != baseline.stream_id  # retry salts the stream
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
-        def always_bad(cloud):
+        def always_bad(model, blocks):
             raise DegenerateInput("synthetic")
 
-        monkeypatch.setattr(experiments, "facets_projected", always_bad)
+        monkeypatch.setattr(experiments, "planar_facets", always_bad)
         cfg = ExperimentConfig(model="binomial", d=2, grid=(12,), reps=1, master_seed=SEED)
         with pytest.raises(DegenerateInput):
             run_experiment(cfg)

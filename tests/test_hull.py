@@ -25,10 +25,15 @@ from wedgehull import (
     orthonormal_complement,
     sample_uniform_wedge,
 )
-from wedgehull.geometry import BLOCK_ROWS, cofactor_normals
-from wedgehull.hull import FacetSet, _hull2d, _orient, _prune_interior
+from wedgehull.geometry import BLOCK_ROWS, cofactor_normals, row_blocks
+from wedgehull.hull import FacetSet, _hull2d, _orient
 
 from .conftest import make_seed
+
+
+def _prune_interior(coords):
+    """Ascending indices of the points of an (n, 2) array that the prune keeps."""
+    return hull._prune(hull._coord_blocks(coords))[0]
 
 
 def cloud_of(model, seed_parts, n):
@@ -769,6 +774,14 @@ def _one_block(n):
     return [slice(0, n)]
 
 
+def _block_picks(x, y, order):
+    """The octagon's corner indices, merged block by block in the given order."""
+    best = [None] * 8
+    for rows in row_blocks(x.size)[::order]:
+        hull._merge_extremes(best, np.arange(rows.start, rows.stop), np.stack((x[rows], y[rows])))
+    return [corner[1] for corner in best]
+
+
 class TestBlockBoundaries:
     """Block-by-block projection and prune against one whole-array block."""
 
@@ -784,20 +797,37 @@ class TestBlockBoundaries:
         }[which]
         cloud = cloud_of(model, ("blocks", which, n, seed), n)
         seen = []
-        chain = hull._hull2d
+        chart, chain = hull._chart_blocks, hull._chain
 
-        def spy(coords):
-            seen.append((np.array(coords), _prune_interior(coords)))
-            return chain(coords)
+        def spy_chart(model, blocks):
+            coords = np.full((2, n), np.nan)
+            for start, xy in chart(model, blocks):
+                coords[:, start : start + xy.shape[1]] = xy
+                yield start, xy
+            seen.append(coords)
 
-        monkeypatch.setattr(hull, "_hull2d", spy)
+        def spy_chain(ids, xy):
+            seen.append(ids.copy())
+            return chain(ids, xy)
+
+        monkeypatch.setattr(hull, "_chart_blocks", spy_chart)
+        monkeypatch.setattr(hull, "_chain", spy_chain)
         blocked = facets_projected(cloud)
         monkeypatch.setattr(hull, "row_blocks", _one_block)
         whole = facets_projected(cloud)
-        (coords, kept), (coords_ref, kept_ref) = seen
+        coords, kept, coords_ref, kept_ref = seen
         assert np.array_equal(coords.view(np.uint64), coords_ref.view(np.uint64))
-        assert np.array_equal(kept, kept_ref)
         assert blocked == whole
+        # The running octagon of the blocks drops points that the octagon of
+        # the whole cloud may keep, but only points strictly inside the hull;
+        # it never keeps one that the whole-cloud run drops, and never drops
+        # a hull vertex.
+        kept, kept_ref = set(kept.tolist()), set(kept_ref.tolist())
+        assert kept <= kept_ref
+        assert {i for facet in whole.facets for i in facet} <= kept
+        ring = exact_ring(coords_ref.T[sorted(kept_ref)])
+        for i in kept_ref - kept:
+            assert strictly_inside(ring, coords[:, i])
 
     def test_vertex_only_in_last_partial_block_is_kept(self):
         rng = np.random.default_rng(8)
@@ -822,14 +852,16 @@ class TestBlockBoundaries:
         x, y = np.zeros(n), np.zeros(n)
         x[[B - 1, B, 2 * B + 1]] = 5.0  # max x tied across blocks 0, 1 and 2
         y[[B, 2 * B, n - 1]] = -7.0  # min y tied across blocks 1 and 2
-        picks = hull._extreme_picks(x, y)
-        assert picks[0] == B - 1 and picks[6] == B
+        for order in (1, -1):
+            picks = _block_picks(x, y, order)
+            assert picks[0] == B - 1 and picks[6] == B
         rng = np.random.default_rng(9)
         for side in (1, 3):
             x, y = np.round(rng.uniform(-side, side, (2, n)))
             rays = (x, x + y, y, y - x)
             whole = [int(r.argmax()) for r in rays] + [int(r.argmin()) for r in rays]
-            assert hull._extreme_picks(x, y) == whole
+            # blocks in order, and a last block that comes first
+            assert _block_picks(x, y, 1) == _block_picks(x, y, -1) == whole
 
     def test_projection_allocates_only_the_columns(self, wedge2):
         # Peak traced allocation of the planar route on 2^17 points: the

@@ -358,6 +358,23 @@ class TestBlockedPasses:
         with pytest.raises(InternalError, match="outside the wedge"):
             SampleCloud(wedge2, outside)
 
+    def test_flat_batch_of_the_wrong_width_is_not_reshaped(self):
+        # a (2, 6) array holds 12 numbers, as four points on S^2 would
+        model = WedgeModel.half_sphere(2)
+        points = np.tile(model.center, (2, 2))
+        with pytest.raises(DomainError, match=r"\(3,\) or \(n, 3\).*got \(2, 6\)"):
+            SampleCloud(model, points)
+
+    def test_wider_points_are_a_domain_error(self, wedge2, wedge3):
+        # points of S^3 on a d = 2 model, not a cloud of non-unit points
+        points = sample_uniform_wedge(wedge3, make_seed("wide"), 3).points
+        with pytest.raises(DomainError, match=r"\(3,\) or \(n, 3\).*got \(3, 4\)"):
+            SampleCloud(wedge2, points)
+
+    def test_one_point_and_a_batch_are_accepted(self, wedge2):
+        assert len(SampleCloud(wedge2, wedge2.center)) == 1
+        assert SampleCloud(wedge2, np.empty((0, 3))).points.shape == (0, 3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_is_named_non_unit(self, wedge2, bad):
         points = sample_uniform_wedge(wedge2, make_seed("non_finite"), 50).points
